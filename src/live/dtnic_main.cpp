@@ -1,4 +1,5 @@
 #include <chrono>
+#include <csignal>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -184,6 +185,11 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // A daemon must outlive its stdout reader: when that reader exits first
+  // (e.g. the next stage of a shell pipeline), the final summary write
+  // fails instead of killing the process — the summary is also written to
+  // --metrics-out.
+  std::signal(SIGPIPE, SIG_IGN);
   try {
     return run(argc, argv);
   } catch (const std::exception& e) {

@@ -1,6 +1,7 @@
 #include "live/live_node.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/incentive.h"
 #include "core/reputation.h"
@@ -59,6 +60,7 @@ LiveNode::LiveNode(const LiveNodeConfig& cfg)
   ctx.cfg = &cfg_.scenario;
   ctx.oracle = &oracle_;
   ctx.contact_quantum = SimTime::seconds(cfg_.scenario.scan_interval_s);
+  ctx.keyword_pool_size = pool_.size();
   ctx.world = &world_;
   ctx.master_rng = &master_rng_;
   ctx.rng_stream_tag = kRouterStreamTag;
@@ -72,8 +74,8 @@ LiveNode::LiveNode(const LiveNodeConfig& cfg)
 void LiveNode::add_seed_peer(NodeId node, const Endpoint& endpoint) {
   DTNIC_REQUIRE_MSG(node.valid() && node != host_.id(), "seed peer must be another node");
   if (peers_.count(node.value()) > 0) return;
-  peers_.emplace(node.value(), std::make_unique<PeerState>(
-                                   node, cfg_.scenario.chitchat, endpoint));
+  peers_.emplace(node.value(), std::make_unique<PeerState>(node, cfg_.scenario.chitchat,
+                                                            pool_.size(), endpoint));
 }
 
 void LiveNode::subscribe(const std::vector<std::string>& labels, SimTime now) {
@@ -137,15 +139,11 @@ void LiveNode::link_up_actions(PeerState& ps, SimTime now) {
   // growth phase and plan against our strengths.
   wire::InterestDigestFrame digest;
   digest.node = host_.id();
+  // for_each visits keywords in ascending id order, so frames are
+  // reproducible (golden tests, tcpdump diffing).
   chitchat_->interests().for_each([&digest](msg::KeywordId k, double w, bool direct) {
     digest.entries.push_back(wire::InterestEntry{k, w, direct});
   });
-  // Hash-order iteration is fine on the wire, but sort for reproducible
-  // frames (golden tests, tcpdump diffing).
-  std::sort(digest.entries.begin(), digest.entries.end(),
-            [](const wire::InterestEntry& a, const wire::InterestEntry& b) {
-              return a.keyword < b.keyword;
-            });
   send_frame(ps, digest);
 
   if (incentive_ != nullptr && world_.drm.enabled) {
@@ -253,7 +251,8 @@ void LiveNode::handle_datagram(const Endpoint& from, std::span<const std::uint8_
       if (it == peers_.end()) {
         it = peers_
                  .emplace(hello->node.value(),
-                          std::make_unique<PeerState>(hello->node, cfg_.scenario.chitchat, from))
+                          std::make_unique<PeerState>(hello->node, cfg_.scenario.chitchat,
+                                                      pool_.size(), from))
                  .first;
       }
       handle_hello(*it->second, *hello, now);
@@ -302,7 +301,24 @@ void LiveNode::handle_hello(PeerState& ps, const wire::HelloFrame& f, SimTime no
   }
 }
 
+bool LiveNode::digest_valid(const wire::InterestDigestFrame& f) const {
+  const double max_weight = cfg_.scenario.chitchat.max_weight;
+  std::vector<bool> seen(pool_.size(), false);
+  for (const wire::InterestEntry& e : f.entries) {
+    // The remote table is indexed by keyword id: an id outside the pool
+    // would grow it without bound.
+    if (e.keyword.value() >= pool_.size() || seen[e.keyword.value()]) return false;
+    if (!std::isfinite(e.weight) || e.weight < 0.0 || e.weight > max_weight) return false;
+    seen[e.keyword.value()] = true;
+  }
+  return true;
+}
+
 void LiveNode::handle_digest(PeerState& ps, const wire::InterestDigestFrame& f, SimTime now) {
+  if (!digest_valid(f)) {
+    ++rejected_frames_;  // the peer keeps its previous table; the oracle is untouched
+    return;
+  }
   ps.peer.apply_digest(f, now);
 
   // The peer's direct interests define it as a destination (the simulator's
@@ -318,9 +334,7 @@ void LiveNode::handle_digest(PeerState& ps, const wire::InterestDigestFrame& f, 
   const auto* table = ps.peer.interest_table();
   DTNIC_ASSERT(table != nullptr);
   chitchat_->interests().grow_from(*table, now, cfg_.scenario.scan_interval_s);
-  table->for_each([this, now](msg::KeywordId k, double, bool) {
-    chitchat_->interests().note_seen(k, now);
-  });
+  chitchat_->interests().note_seen_shared(*table, now);
 
   plan_and_offer(ps, now);
 }
@@ -558,6 +572,11 @@ LiveNode::PeerState* LiveNode::find_peer_by_endpoint(const Endpoint& ep) {
 bool LiveNode::link_up(NodeId peer) const {
   auto it = peers_.find(peer.value());
   return it != peers_.end() && it->second->up;
+}
+
+const RemotePeer* LiveNode::remote_peer(NodeId peer) const {
+  auto it = peers_.find(peer.value());
+  return it != peers_.end() ? &it->second->peer : nullptr;
 }
 
 std::size_t LiveNode::links_up() const {

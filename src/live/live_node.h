@@ -92,9 +92,14 @@ class LiveNode {
   [[nodiscard]] util::SimTime now() const { return now_; }
   [[nodiscard]] std::uint64_t keyword_pool_hash() const { return pool_hash_; }
   [[nodiscard]] bool link_up(routing::NodeId peer) const;
+  /// The wire-reconstructed view of \p peer; nullptr before its HELLO.
+  [[nodiscard]] const RemotePeer* remote_peer(routing::NodeId peer) const;
+  /// Destination oracle: our subscriptions plus each peer's digest directs.
+  [[nodiscard]] const routing::StaticInterestOracle& oracle() const { return oracle_; }
   [[nodiscard]] std::size_t links_up() const;
   [[nodiscard]] double tokens() const;
-  /// Frames received that failed to decode or failed compatibility gating.
+  /// Frames received that failed to decode, failed compatibility gating, or
+  /// carried out-of-range content (e.g. an invalid INTEREST_DIGEST).
   [[nodiscard]] std::uint64_t rejected_frames() const { return rejected_frames_; }
 
  private:
@@ -107,8 +112,8 @@ class LiveNode {
     /// Ids already offered to this peer (no re-offer on later rounds).
     std::unordered_set<msg::MessageId> offered;
     PeerState(routing::NodeId id, const routing::chitchat::ChitChatParams& params,
-              const Endpoint& ep)
-        : peer(id, params), endpoint(ep) {}
+              std::size_t keyword_pool_size, const Endpoint& ep)
+        : peer(id, params, keyword_pool_size), endpoint(ep) {}
   };
 
   struct OutgoingTransfer {
@@ -138,6 +143,9 @@ class LiveNode {
                        util::SimTime now);
   void handle_hello(PeerState& ps, const wire::HelloFrame& f, util::SimTime now);
   void handle_digest(PeerState& ps, const wire::InterestDigestFrame& f, util::SimTime now);
+  /// A digest is applied only if every keyword is inside the agreed pool and
+  /// appears once, and every weight is finite and within [0, max_weight].
+  [[nodiscard]] bool digest_valid(const wire::InterestDigestFrame& f) const;
   void handle_gossip(PeerState& ps, const wire::RatingGossipFrame& f);
   void handle_offer(PeerState& ps, const wire::OfferFrame& f, util::SimTime now);
   void handle_offer_reply(PeerState& ps, const wire::OfferReplyFrame& f, util::SimTime now);

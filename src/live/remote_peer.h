@@ -21,8 +21,11 @@ namespace dtnic::live {
 
 class RemotePeer final : public routing::Peer {
  public:
-  RemotePeer(routing::NodeId id, const routing::chitchat::ChitChatParams& params)
-      : id_(id), table_(params) {}
+  /// \p keyword_pool_size pre-sizes the reconstructed table to the agreed
+  /// pool, so digests never grow it.
+  RemotePeer(routing::NodeId id, const routing::chitchat::ChitChatParams& params,
+             std::size_t keyword_pool_size)
+      : id_(id), table_(params, keyword_pool_size) {}
 
   [[nodiscard]] routing::NodeId id() const final { return id_; }
   [[nodiscard]] int rank() const final { return rank_; }
@@ -38,9 +41,10 @@ class RemotePeer final : public routing::Peer {
   void mark_seen(msg::MessageId id) { seen_.insert(id); }
 
   /// Replace the table with the digest's snapshot (the digest is a full
-  /// dump, so stale slots are rebuilt from scratch via a fresh restore set).
+  /// dump, so stale slots are dropped and the entries restored afresh). The
+  /// caller validates the digest first (LiveNode::handle_digest).
   void apply_digest(const wire::InterestDigestFrame& digest, util::SimTime now) {
-    table_ = routing::chitchat::InterestTable(table_.params());
+    table_.clear();
     for (const wire::InterestEntry& e : digest.entries) {
       table_.restore(e.keyword, e.weight, e.direct, now);
     }

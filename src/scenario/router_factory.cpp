@@ -131,7 +131,11 @@ const RouterSpec* find_router_spec(std::string_view name) {
 
 std::unique_ptr<routing::Router> build_router(const RouterBuildContext& ctx) {
   require_base(ctx);
-  return router_spec(ctx.cfg->scheme).build(ctx);
+  RouterPtr router = router_spec(ctx.cfg->scheme).build(ctx);
+  if (routing::is_chitchat_kind(router->kind())) {
+    static_cast<routing::ChitChatRouter&>(*router).interests().reserve(ctx.keyword_pool_size);
+  }
+  return router;
 }
 
 }  // namespace dtnic::scenario

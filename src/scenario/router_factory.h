@@ -33,6 +33,10 @@ struct RouterBuildContext {
   /// Nectar reads static interests directly.
   const routing::StaticInterestOracle* oracle = nullptr;
   util::SimTime contact_quantum = util::SimTime::zero();
+  /// Size of the interned keyword pool (ids 0 .. size-1). ChitChat-family
+  /// interest tables are pre-sized to it, so acquiring a pool keyword never
+  /// grows a table mid-run.
+  std::size_t keyword_pool_size = 0;
   /// Shared incentive services (incentive / pi-incentive schemes).
   const core::IncentiveWorld* world = nullptr;
   core::PiEscrowBank* pi_bank = nullptr;

@@ -67,6 +67,7 @@ void Scenario::make_router(std::size_t index) {
   ctx.cfg = &cfg_;
   ctx.oracle = &oracle_;
   ctx.contact_quantum = SimTime::seconds(cfg_.scan_interval_s);
+  ctx.keyword_pool_size = pool_.size();
   ctx.world = &world_;
   ctx.pi_bank = &pi_bank_;
   ctx.behavior = behaviors_[index];

@@ -54,7 +54,11 @@ class ThreadPool {
 
   /// Run fn(0) … fn(tasks - 1) to completion, with task 0 executed on the
   /// calling thread while the rest run on the pool — so a pool of (n - 1)
-  /// workers saturates n cores and the caller never just blocks. Returns
+  /// workers saturates n cores and the caller never just blocks. Tasks are
+  /// claimed dynamically: after its own task the caller runs every task no
+  /// worker has started yet, so a short phase never waits on a worker
+  /// wake-up (whose latency swings tenfold on a busy or virtualized host).
+  /// \p fn must therefore not depend on which thread runs a task. Returns
   /// after every task finished; if any threw, the first exception (by task
   /// index) is rethrown. Must not be called from a task already running on
   /// this pool (the inner wait could deadlock on a saturated queue).

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -245,6 +246,165 @@ TEST(LiveLoopback, TraceReplayReproducesLiveCounters) {
     EXPECT_EQ(replayed.reputation_updates(), live.reputation_updates());
     EXPECT_EQ(replayed.mean_delivery_latency_s(), live.mean_delivery_latency_s());
   }
+}
+
+/// A hand-driven peer: a bare UDP socket that speaks just enough of the
+/// protocol (a compatible HELLO, then INTEREST_DIGEST frames) to feed crafted
+/// digests to a node.
+class RawPeer {
+ public:
+  RawPeer(NodeId id, const LiveNode& target)
+      : id_(id), socket_(0), target_{"127.0.0.1", target.local_port()},
+        pool_hash_(target.keyword_pool_hash()) {}
+
+  void hello() {
+    wire::HelloFrame h;
+    h.node = id_;
+    h.proto = wire::kProtocolVersion;
+    h.keyword_pool_hash = pool_hash_;
+    send(h);
+  }
+  void digest(std::vector<wire::InterestEntry> entries) {
+    wire::InterestDigestFrame d;
+    d.node = id_;
+    d.entries = std::move(entries);
+    send(d);
+  }
+
+ private:
+  void send(const wire::Frame& f) {
+    std::vector<std::uint8_t> bytes;
+    wire::encode_frame(f, bytes);
+    socket_.send_to(target_, bytes);
+  }
+
+  NodeId id_;
+  UdpSocket socket_;
+  Endpoint target_;
+  std::uint64_t pool_hash_;
+};
+
+void expect_same_entries(const std::vector<routing::chitchat::InterestTable::Entry>& got,
+                         const std::vector<routing::chitchat::InterestTable::Entry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].keyword, want[i].keyword);
+    EXPECT_EQ(got[i].weight, want[i].weight);
+    EXPECT_EQ(got[i].direct, want[i].direct);
+    EXPECT_EQ(got[i].last_seen.sec(), want[i].last_seen.sec());
+  }
+}
+
+/// INTEREST_DIGEST validation: the remote table is indexed by keyword id, so
+/// a digest with an out-of-pool id, a non-finite or out-of-range weight, or a
+/// repeated keyword is rejected whole — counted, with the peer's previous
+/// table, the oracle, and our own interests left untouched.
+class CraftedDigest : public ::testing::Test {
+ protected:
+  static constexpr NodeId kRaw{7};
+
+  CraftedDigest() : node_(base_config(2)), raw_(kRaw, node_) {}
+
+  void SetUp() override {
+    raw_.hello();
+    ASSERT_TRUE(service_until([&] { return node_.link_up(kRaw); }));
+    raw_.digest({{kw("news"), 0.5, true}, {kw("music"), 0.25, false}});
+    ASSERT_TRUE(service_until([&] { return has_digest(); }));
+    ASSERT_EQ(node_.rejected_frames(), 0u);
+  }
+
+  msg::KeywordId kw(const std::string& label) { return node_.keywords().find(label); }
+
+  bool has_digest() const {
+    const RemotePeer* peer = node_.remote_peer(kRaw);
+    return peer != nullptr && peer->interest_table() != nullptr;
+  }
+
+  const routing::chitchat::InterestTable& peer_table() const {
+    return *node_.remote_peer(kRaw)->interest_table();
+  }
+  const routing::chitchat::InterestTable& own_table() {
+    return routing::ChitChatRouter::of(node_.host())->interests();
+  }
+
+  /// Service the node in 1 ms rounds (well inside the link timeout) until
+  /// \p done; loopback delivery needs a round or two.
+  template <typename Pred>
+  bool service_until(Pred done) {
+    for (int round = 0; round < 300 && !done(); ++round) {
+      node_.service(now_);
+      now_ = now_ + SimTime::seconds(0.001);
+    }
+    return done();
+  }
+
+  void expect_rejected(std::vector<wire::InterestEntry> entries) {
+    const auto peer_before = peer_table().entries();
+    const auto own_before = own_table().entries();
+    const auto oracle_before = node_.oracle().interests_of(kRaw);
+    const std::uint64_t rejected = node_.rejected_frames();
+    raw_.digest(std::move(entries));
+    ASSERT_TRUE(service_until([&] { return node_.rejected_frames() > rejected; }));
+    EXPECT_EQ(node_.rejected_frames(), rejected + 1);
+    EXPECT_TRUE(node_.link_up(kRaw));
+    expect_same_entries(peer_table().entries(), peer_before);
+    expect_same_entries(own_table().entries(), own_before);
+    EXPECT_EQ(node_.oracle().interests_of(kRaw), oracle_before);
+  }
+
+  LiveNode node_;
+  RawPeer raw_;
+  SimTime now_ = SimTime::zero();
+};
+
+TEST_F(CraftedDigest, ValidDigestFeedsPeerTableAndOracle) {
+  const auto entries = peer_table().entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].keyword, kw("news"));
+  EXPECT_TRUE(entries[0].direct);
+  EXPECT_EQ(entries[1].keyword, kw("music"));
+  EXPECT_EQ(entries[1].weight, 0.25);
+  EXPECT_EQ(node_.oracle().interests_of(kRaw).count(kw("news")), 1u);
+  EXPECT_EQ(node_.oracle().interests_of(kRaw).count(kw("music")), 0u);
+  EXPECT_TRUE(own_table().has(kw("news")));  // growth phase ran
+}
+
+TEST_F(CraftedDigest, RejectsKeywordOutsidePool) {
+  const auto pool = static_cast<msg::KeywordId::underlying>(node_.keywords().size());
+  expect_rejected({{kw("news"), 0.5, true}, {msg::KeywordId(pool), 0.5, false}});
+  expect_rejected({{msg::KeywordId(0xFFFFFFF0u), 0.5, true}});
+  // Would have grown a dense table to ~64 GB before validation existed.
+  EXPECT_LE(peer_table().capacity(), node_.keywords().size());
+}
+
+TEST_F(CraftedDigest, RejectsNonFiniteWeight) {
+  expect_rejected({{kw("sports"), std::numeric_limits<double>::quiet_NaN(), false}});
+  expect_rejected({{kw("sports"), std::numeric_limits<double>::infinity(), true}});
+  expect_rejected({{kw("sports"), -std::numeric_limits<double>::infinity(), false}});
+}
+
+TEST_F(CraftedDigest, RejectsWeightOutsideUnitRange) {
+  expect_rejected({{kw("weather"), -0.01, false}});
+  expect_rejected({{kw("news"), 0.5, true}, {kw("weather"), 1.0 + 1e-9, false}});
+}
+
+TEST_F(CraftedDigest, RejectsRepeatedKeyword) {
+  expect_rejected({{kw("weather"), 0.5, true}, {kw("weather"), 0.1, false}});
+}
+
+TEST_F(CraftedDigest, BoundaryDigestIsAcceptedAfterRejections) {
+  expect_rejected({{kw("weather"), 2.0, false}});
+  // Weights exactly 0 and max_weight, and the last pool id, are all valid.
+  const std::uint64_t rejected = node_.rejected_frames();
+  raw_.digest({{kw("news"), 0.0, false}, {kw("music"), 1.0, true}});
+  ASSERT_TRUE(service_until([&] { return peer_table().has_direct(kw("music")); }));
+  EXPECT_EQ(node_.rejected_frames(), rejected);
+  const auto entries = peer_table().entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].weight, 0.0);
+  EXPECT_EQ(entries[1].weight, 1.0);
+  EXPECT_EQ(node_.oracle().interests_of(kRaw).count(kw("music")), 1u);
+  EXPECT_EQ(node_.oracle().interests_of(kRaw).count(kw("news")), 0u);
 }
 
 }  // namespace
