@@ -5,10 +5,9 @@
 /// (more alternative paths per message).
 ///
 /// Beyond the figure itself, --mega extends the sweep into the 10^5-node
-/// regime: one short-horizon 100k-node point per scheme, with contact scans
-/// sharded across --shard-threads intra-run shards (0 = one per hardware
-/// thread; output is bit-identical for every value — see DESIGN.md
-/// "Intra-run sharding"). Use --mega-nodes to vary the population.
+/// regime: one short-horizon 100k-node point per scheme, each run on one
+/// thread (see DESIGN.md "Why the tick is serial"). Use --mega-nodes to vary
+/// the population.
 
 #include <chrono>
 #include <cmath>
@@ -19,15 +18,13 @@
 namespace {
 
 /// One population point at fixed Table 5.1 density, short horizon, single
-/// seed — the regime where a tick touches 10^5 nodes and the sharded scan
-/// is the difference between tractable and not.
-void run_mega_point(std::size_t nodes, std::size_t shard_threads) {
+/// seed — the regime where a tick touches 10^5 nodes.
+void run_mega_point(std::size_t nodes) {
   using namespace dtnic;
   scenario::ScenarioConfig cfg = scenario::ScenarioConfig::scaled_defaults(
       nodes, /*sim_hours=*/0.05);  // 3 simulated minutes: ~180 full scans
   cfg.messages_per_node_per_hour = 0.5;
   cfg.sample_interval_s = 60.0;
-  cfg.shard_threads = shard_threads;
 
   util::Table table({"scheme", "MDR", "contacts", "wall s"});
   for (const auto scheme : {scenario::Scheme::kIncentive, scenario::Scheme::kChitChat}) {
@@ -42,10 +39,7 @@ void run_mega_point(std::size_t nodes, std::size_t shard_threads) {
                    std::to_string(agg.raw.front().contacts),
                    util::Table::cell(wall_s, 1)});
   }
-  std::cout << "\n-- mega point: " << nodes << " nodes, "
-            << (cfg.shard_threads == 0 ? std::string("auto")
-                                       : std::to_string(cfg.shard_threads))
-            << " shard thread(s), 0.05 h --\n";
+  std::cout << "\n-- mega point: " << nodes << " nodes, 0.05 h --\n";
   table.print(std::cout);
 }
 
@@ -54,10 +48,8 @@ void run_mega_point(std::size_t nodes, std::size_t shard_threads) {
 int main(int argc, char** argv) {
   using namespace dtnic;
   util::Cli cli;
-  cli.add_flag("mega", "false", "also run a 10^5-node point with sharded scans");
+  cli.add_flag("mega", "false", "also run a 10^5-node point");
   cli.add_flag("mega-nodes", "100000", "population of the --mega point");
-  cli.add_flag("shard-threads", "0",
-               "intra-run scan shards (0 = one per hardware thread)");
   const bench::BenchScale scale = bench::resolve_scale(cli, argc, argv, argv[0]);
   bench::print_header("Figure 5.5: MDR vs number of users (fixed area)", scale);
 
@@ -73,8 +65,6 @@ int main(int argc, char** argv) {
     base.area_side_m = std::sqrt(static_cast<double>(base.num_nodes) /
                                  (500.0 / (2236.0 * 2236.0)));
   }
-  // The figure sweep benefits from sharded scans too at large --nodes.
-  base.shard_threads = static_cast<std::size_t>(cli.get_int("shard-threads"));
 
   std::vector<scenario::ScenarioConfig> points;
   for (const double mult : {1.0, 2.0, 3.0}) {  // paper: 500, 1000, 1500
@@ -102,8 +92,7 @@ int main(int argc, char** argv) {
                "chitchat-minus-incentive gap shrinks toward zero.\n";
 
   if (cli.get_bool("mega")) {
-    run_mega_point(static_cast<std::size_t>(cli.get_int("mega-nodes")),
-                   static_cast<std::size_t>(cli.get_int("shard-threads")));
+    run_mega_point(static_cast<std::size_t>(cli.get_int("mega-nodes")));
   }
   return 0;
 }

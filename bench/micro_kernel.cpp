@@ -242,7 +242,7 @@ void BM_InterestDecayAgainst(benchmark::State& state) {
   InterestWorld world;
   for (auto _ : state) {
     world.decay_step(5.0);
-    benchmark::DoNotOptimize(world.tables[0].generation());
+    benchmark::DoNotOptimize(world.tables[0].size());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -252,7 +252,7 @@ void BM_InterestGrowFrom(benchmark::State& state) {
   InterestWorld world;
   for (auto _ : state) {
     world.grow_step(5.0);
-    benchmark::DoNotOptimize(world.tables[0].generation());
+    benchmark::DoNotOptimize(world.tables[0].size());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -324,7 +324,7 @@ BENCHMARK(BM_MessageBufferChurn)->Arg(0)->Arg(1);
 /// routing work for a link — pre_exchange (decay against neighbors), the
 /// link-up weight/reputation exchange, and plan_into in both directions —
 /// without the transfer layer, so the measured cost is exactly the routing
-/// hot path the strength cache and scratch reuse optimize.
+/// hot path.
 struct ExchangeWorld {
   ExchangeWorld(int nodes, int msgs_per_node, int keywords, std::uint64_t seed = 11) {
     util::Rng rng(seed);
@@ -412,25 +412,21 @@ void BM_RoutingExchangePlan(benchmark::State& state) {
 }
 BENCHMARK(BM_RoutingExchangePlan)->Arg(16)->Arg(64);
 
-/// Repeated interest-strength queries over a stable table: the memoized
-/// ChitChatRouter::message_strength against a from-scratch sum_weights per
-/// query (the shape PRoPHET/NECTAR/promise computation used to pay).
+/// Repeated interest-strength queries over a stable table: one
+/// ChitChatRouter::message_strength (a sum_weights over the message's
+/// keywords) per buffered message.
 void BM_MessageStrengthQuery(benchmark::State& state) {
-  const bool memoized = state.range(0) != 0;
   ExchangeWorld world(/*nodes=*/2, /*msgs_per_node=*/64, /*keywords=*/64);
   routing::Host& host = *world.hosts[0];
   auto* router = routing::ChitChatRouter::of(host);
   double sum = 0.0;
   for (auto _ : state) {
-    host.buffer().for_each([&](const msg::Message& m) {
-      sum += memoized ? router->message_strength(m)
-                      : router->interests().sum_weights(m.keywords());
-    });
+    host.buffer().for_each([&](const msg::Message& m) { sum += router->message_strength(m); });
   }
   benchmark::DoNotOptimize(sum);
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_MessageStrengthQuery)->Arg(0)->Arg(1);
+BENCHMARK(BM_MessageStrengthQuery);
 
 void BM_ScenarioMinute(benchmark::State& state) {
   // End-to-end cost of one simulated minute of a 40-node incentive world
@@ -782,7 +778,7 @@ ExchangeSample time_exchange_kernel(int nodes, int msgs_per_node, int iterations
   return sample;
 }
 
-ExchangeSample time_strength_kernel(bool memoized, int messages, int iterations) {
+ExchangeSample time_strength_kernel(int messages, int iterations) {
   ExchangeWorld world(/*nodes=*/2, messages, /*keywords=*/64);
   routing::Host& host = *world.hosts[0];
   auto* router = routing::ChitChatRouter::of(host);
@@ -792,10 +788,8 @@ ExchangeSample time_strength_kernel(bool memoized, int messages, int iterations)
       [] {},
       [&] {
         for (int it = 0; it < iterations; ++it) {
-          host.buffer().for_each([&](const msg::Message& m) {
-            sum += memoized ? router->message_strength(m)
-                            : router->interests().sum_weights(m.keywords());
-          });
+          host.buffer().for_each(
+              [&](const msg::Message& m) { sum += router->message_strength(m); });
         }
         benchmark::DoNotOptimize(sum);
       },
@@ -819,7 +813,7 @@ ExchangeSample time_interest_kernel(bool grow, int iterations) {
             world.decay_step(5.0);
           }
         }
-        benchmark::DoNotOptimize(world.tables[0].generation());
+        benchmark::DoNotOptimize(world.tables[0].size());
       },
       iterations);
   sample.plans = 0;
@@ -827,7 +821,7 @@ ExchangeSample time_interest_kernel(bool grow, int iterations) {
 }
 
 /// Emit BENCH_routing_exchange.json: machine-readable summary of the
-/// per-contact exchange/plan pipeline, the strength-query kernels, and the
+/// per-contact exchange/plan pipeline, the strength-query kernel, and the
 /// interest-table decay/growth kernels.
 /// Controlled by DTNIC_BENCH_JSON_EXCHANGE (output path; default alongside
 /// the binary) and DTNIC_BENCH_JSON_FAST (fewer iterations, smoke scale).
@@ -856,10 +850,9 @@ void write_routing_exchange_json() {
     row("exchange_contact", nodes, 32, iterations,
         time_exchange_kernel(nodes, 32, iterations));
   }
-  for (const bool memoized : {false, true}) {
+  {
     const int iterations = fast ? 50 : 20000;
-    row(memoized ? "strength_memoized" : "strength_recompute", 2, 64, iterations,
-        time_strength_kernel(memoized, 64, iterations));
+    row("strength_recompute", 2, 64, iterations, time_strength_kernel(64, iterations));
   }
   // "nodes" counts the tables involved: a node and its 3 neighbors for the
   // decay, a node and one peer for the growth; "messages" is unused (0).

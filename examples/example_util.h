@@ -72,7 +72,9 @@ class PocketNetwork {
     int moved = 0;
     int refused = 0;
     std::string last_reason;
-    for (const routing::ForwardPlan& plan : from.router().plan(from, to, now)) {
+    std::vector<routing::ForwardPlan> plans;
+    from.router().plan_into(from, to, now, plans);
+    for (const routing::ForwardPlan& plan : plans) {
       const msg::Message* m = from.buffer().find(plan.message);
       if (m == nullptr) continue;
       const auto decision = to.router().accept(to, from, *m, plan, now);

@@ -79,7 +79,7 @@ double IncentiveRouter::promise_for(Host& self, const routing::Peer& peer,
   SoftwareFactors f;
   f.sum_weights_v = peer.message_strength(m);
   // w_m: the best interest strength among all currently connected devices
-  // (queried through the Peer interface — same memoized bits as before).
+  // (queried through the Peer interface — the same bits as a direct query).
   f.max_sum_weights = f.sum_weights_v;
   for (Host* neighbor : ctx.neighbors) {
     f.max_sum_weights = std::max(f.max_sum_weights, neighbor->message_strength(m));
@@ -125,7 +125,7 @@ void IncentiveRouter::plan_for_peer(Host& self, const routing::Peer& peer, util:
     if (p.role == TransferRole::kRelay && peer_runs_chitchat) {
       // Relay threshold (Table 5.1): a receiver with a very high mean tag
       // weight — near-certain deliverer — pre-pays a fraction of the promise.
-      // The mean is derived from the memoized strength sum; both iterate the
+      // The mean is derived from the strength sum; both iterate the
       // same keyword list, so the quotient is bit-identical to mean_weight.
       const auto& kws = m->keywords();
       const double mean_w = kws.empty() ? 0.0

@@ -82,7 +82,7 @@ class IncentiveRouter final : public routing::ChitChatRouter {
                                        const msg::Message& m);
 
  private:
-  /// Per-plan() precomputed context: the sender's connected neighbors and
+  /// Per-plan_into() precomputed context: the sender's connected neighbors and
   /// its buffer-wide maxima (S_m, Q_m of Table 3.1); hoisted so promise
   /// computation is O(keywords) per message instead of O(buffer).
   struct PromiseContext {
@@ -119,11 +119,6 @@ class IncentiveRouter final : public routing::ChitChatRouter {
   /// on link-down — per-contact node churn, so arena-pooled.
   util::arena::PooledMap<routing::NodeId, double> contact_distance_;
   /// plan_into scratch (reused across contacts; steady-state allocation-free).
-  /// THREADING: member scratch makes plan_into non-reentrant per router; the
-  /// staged exchange guarantees exclusion by locking this node's host mutex
-  /// for the duration of any plan task whose lock set contains it. The
-  /// promise path additionally reads neighbor routers' strength caches,
-  /// which is why a link's lock set includes both endpoints' neighborhoods.
   PromiseContext promise_ctx_;
   std::vector<KeyedPlan> keyed_scratch_;
 };

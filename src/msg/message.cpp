@@ -1,23 +1,11 @@
 #include "msg/message.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "util/arena.h"
 #include "util/assert.h"
 
 namespace dtnic::msg {
-
-namespace {
-/// Process-wide annotation stamp source. Values never influence simulation
-/// output — they only witness "this copy's annotation set changed" — so the
-/// atomic does not perturb determinism across runs or thread counts.
-std::atomic<std::uint64_t> g_keyword_stamp{0};
-
-std::uint64_t next_keyword_stamp() {
-  return 1 + g_keyword_stamp.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace
 
 const char* priority_name(Priority p) {
   switch (p) {
@@ -75,7 +63,6 @@ bool Message::annotate(Annotation a) {
   if (has_keyword(a.keyword)) return false;
   annotations_.push_back(a);
   keywords_.push_back(a.keyword);
-  keyword_stamp_ = next_keyword_stamp();
   return true;
 }
 

@@ -104,11 +104,6 @@ class Message {
   /// order. Maintained incrementally by annotate(); never materialized per
   /// query, so strength computations can iterate it allocation-free.
   [[nodiscard]] const std::vector<KeywordId>& keywords() const { return keywords_; }
-  /// Monotone stamp identifying this copy's annotation set: two copies with
-  /// equal id and equal stamp carry identical keyword lists. Bumped (from a
-  /// process-wide counter, so independently enriched copies never collide)
-  /// on every successful annotate(); strength caches key on (id, stamp).
-  [[nodiscard]] std::uint64_t keyword_stamp() const { return keyword_stamp_; }
   /// Tags added by a specific node (enrichment attribution).
   [[nodiscard]] std::vector<Annotation> annotations_by(NodeId node) const;
   /// Latent true content keywords (ground truth for the rating simulation).
@@ -163,7 +158,6 @@ class Message {
 
   std::shared_ptr<const Core> core_;
   SimTime ttl_ = SimTime::infinity();
-  std::uint64_t keyword_stamp_ = 0;
   std::vector<Annotation> annotations_;
   std::vector<KeywordId> keywords_;
   std::vector<HopRecord> path_;

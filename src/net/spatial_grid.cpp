@@ -127,8 +127,9 @@ void SpatialGrid::clear() {
 /// insertion sort of the tiny equal-a runs — far cheaper than a comparison
 /// sort of the effectively random pool-order input. Sparse id spaces fall
 /// back to std::sort on the packed key.
-void SpatialGrid::sort_pairs(std::vector<Pair>& v, std::vector<Pair>& scratch,
-                             std::vector<std::uint32_t>& offsets) const {
+void SpatialGrid::sort_pairs(std::vector<Pair>& v) const {
+  std::vector<Pair>& scratch = sort_scratch_;
+  std::vector<std::uint32_t>& offsets = sort_offsets_;
   const std::size_t n = v.size();
   const std::size_t buckets = static_cast<std::size_t>(max_id_) + 2;
   if (n < 2 || n <= 64 || buckets > std::max<std::size_t>(4096, 16 * slots_.size())) {
@@ -184,7 +185,6 @@ std::uint32_t SpatialGrid::cell_at(std::int32_t cx, std::int32_t cy) {
   CellLinks& links = links_[index];
   cell.cx = cx;
   cell.cy = cy;
-  links.cx = cx;
   counts_[index] = 0;
   // Lane invariant: a cell entering the free list had every entry removed,
   // and each removal restored the vacated lane to +inf — so both fresh and
@@ -292,7 +292,7 @@ void SpatialGrid::update(util::NodeId id, util::Vec2 position) {
   update_slot(it->second, position);
 }
 
-void SpatialGrid::commit_move(std::size_t slot) {
+void SpatialGrid::relocate(std::size_t slot) {
   const util::Vec2 position{xs_[slot], ys_[slot]};
   unplace(static_cast<std::uint32_t>(slot));
   place(static_cast<std::uint32_t>(slot), cell_at(coord(position.x), coord(position.y)));
@@ -325,8 +325,7 @@ void SpatialGrid::neighbors_of(util::Vec2 center, double radius, util::NodeId se
   }
 }
 
-void SpatialGrid::scan_pairs(double radius, std::uint32_t shard, std::uint32_t shard_count,
-                             std::vector<Pair>& out) const {
+void SpatialGrid::pairs_within(double radius, std::vector<Pair>& out) const {
   DTNIC_REQUIRE_MSG(radius <= cell_size_, "query radius exceeds grid cell size");
   out.clear();
   const double r2 = radius * radius;
@@ -335,33 +334,21 @@ void SpatialGrid::scan_pairs(double radius, std::uint32_t shard, std::uint32_t s
   switch (resolve_variant()) {
 #ifdef DTNIC_SIMD_X86
     case Variant::kAvx2:
-      scan_kernel_avx2(view, r2, shard, shard_count, out);
-      return;
+      scan_kernel_avx2(view, r2, out);
+      break;
     case Variant::kSse2:
-      scan_kernel_sse2(view, r2, shard, shard_count, out);
-      return;
+      scan_kernel_sse2(view, r2, out);
+      break;
 #endif
     default:
-      scan_kernel_scalar(view, r2, shard, shard_count, out);
-      return;
+      scan_kernel_scalar(view, r2, out);
+      break;
   }
-}
-
-void SpatialGrid::pairs_within(double radius, std::vector<Pair>& out) const {
-  scan_pairs(radius, 0, 0, out);
   // Pool order leaks into the emission order (and the SIMD kernels emit in a
   // different within-cell order than the scalar one); sorting by (a, b)
   // makes the output — and every event sequence derived from it —
   // independent of layout, churn history, and kernel choice.
-  sort_pairs(out, sort_scratch_, sort_offsets_);
-}
-
-void SpatialGrid::pairs_within_shard(double radius, std::uint32_t shard,
-                                     std::uint32_t shard_count, std::vector<Pair>& out,
-                                     SortScratch& scratch) const {
-  DTNIC_REQUIRE_MSG(shard < shard_count, "shard index out of range");
-  scan_pairs(radius, shard, shard_count, out);
-  sort_pairs(out, scratch.pairs, scratch.offsets);
+  sort_pairs(out);
 }
 
 std::vector<SpatialGrid::Pair> SpatialGrid::pairs_within(double radius) const {

@@ -59,17 +59,6 @@ class SpatialGrid {
   /// Same as `update`, addressed by the slot handle `insert` returned.
   void update_slot(std::size_t slot, util::Vec2 position);
 
-  /// Two-phase variant of `update_slot` for sharded scans. `stage_position`
-  /// records the new position (dense-array and same-cell lane writes only)
-  /// and reports whether the node's cell changed; it never touches cell
-  /// membership, and distinct slots write distinct memory, so distinct slots
-  /// may be staged concurrently from different threads.
-  /// Every slot that returned true must then be passed to `commit_move`
-  /// serially — in ascending slot order for layout determinism — before the
-  /// next enumeration. stage+commit is exactly equivalent to `update_slot`.
-  [[nodiscard]] bool stage_position(std::size_t slot, util::Vec2 position);
-  void commit_move(std::size_t slot);
-
   [[nodiscard]] std::size_t size() const { return slots_.size(); }
   /// Occupied cells only; empty cells are pruned, so this never exceeds
   /// size() no matter how far the population roams.
@@ -95,33 +84,6 @@ class SpatialGrid {
   void pairs_within(double radius, std::vector<Pair>& out) const;
   /// Convenience wrapper for tests and one-shot callers.
   [[nodiscard]] std::vector<Pair> pairs_within(double radius) const;
-
-  /// Per-caller sort buffers for `pairs_within_shard`. The single-threaded
-  /// `pairs_within` reuses member scratch; shard calls run concurrently, so
-  /// each shard owns one of these (reused across scans → allocation-free).
-  struct SortScratch {
-    std::vector<Pair> pairs;
-    std::vector<std::uint32_t> offsets;
-  };
-
-  /// Deterministic owner rule for sharded enumeration: a cell belongs to the
-  /// shard picked by its column, round-robin so K shards interleave columns
-  /// and stay balanced for any world extent. The owning cell emits all pairs
-  /// of its interior plus its half-neighborhood, so every unordered pair —
-  /// including cross-shard boundary pairs — is emitted by exactly one shard.
-  [[nodiscard]] static std::uint32_t shard_of_cell(std::int32_t cx, std::uint32_t shard_count) {
-    const auto k = static_cast<std::int32_t>(shard_count);
-    return static_cast<std::uint32_t>(((cx % k) + k) % k);
-  }
-
-  /// The subset of `pairs_within` whose emitting cell satisfies
-  /// shard_of_cell(cx, shard_count) == shard, sorted by (a, b). The union
-  /// over all shards equals `pairs_within` exactly (disjoint, no pair twice),
-  /// so a k-way merge of the per-shard lists reproduces the serial emission
-  /// bit for bit. Read-only on the grid; safe to call concurrently from one
-  /// thread per shard as long as each passes its own \p scratch.
-  void pairs_within_shard(double radius, std::uint32_t shard, std::uint32_t shard_count,
-                          std::vector<Pair>& out, SortScratch& scratch) const;
 
   /// Distance-kernel variants. kScalar is always available; kSse2/kAvx2
   /// exist when built with DTNIC_SIMD on x86-64 and the CPU supports them.
@@ -173,7 +135,7 @@ class SpatialGrid {
   };
   static_assert(sizeof(ScanBlock) == 64, "ScanBlock must be one cache line");
 
-  /// Dense per-cell neighborhood links + shard column, parallel to pool_.
+  /// Dense per-cell neighborhood links, parallel to pool_.
   /// Kept out of ScanBlock so the kernels' segment gather — which must
   /// resolve links *before* any distance math can start — reads a compact
   /// sequential array instead of a second cache line per cell.
@@ -181,7 +143,6 @@ class SpatialGrid {
     /// Pool index of the half-neighborhood cell in direction kHalf[k];
     /// -1 when absent. The reciprocal rev links live in Cell (cold).
     std::int32_t half[4] = {-1, -1, -1, -1};
-    std::int32_t cx = 0;  ///< shard column, mirrors Cell::cx
   };
 
   /// Cold per-cell bookkeeping (membership maintenance only; scans never
@@ -215,7 +176,7 @@ class SpatialGrid {
 
   /// Read-only view the kernels operate on: the hot mirror array, the dense
   /// per-cell entry counts (counts[c] == 0 marks pooled-but-free cells),
-  /// links + shard columns, inline-lane ids (ids[c * kInline + lane], read
+  /// neighborhood links, inline-lane ids (ids[c * kInline + lane], read
   /// only on a hit), the cold pool (overflow fallback only), and the
   /// slot-indexed coordinates.
   struct ScanView {
@@ -229,22 +190,17 @@ class SpatialGrid {
     const double* ys;
   };
 
-  /// Shared signature of the interchangeable distance kernels. shard_count
-  /// == 0 means unsharded (every live cell emits). Kernels append unsorted
-  /// pairs; the caller sorts.
-  using ScanKernelFn = void (*)(const ScanView& view, double r2, std::uint32_t shard,
-                                std::uint32_t shard_count, std::vector<Pair>& out);
-  static void scan_kernel_scalar(const ScanView& view, double r2, std::uint32_t shard,
-                                 std::uint32_t shard_count, std::vector<Pair>& out);
+  /// Shared signature of the interchangeable distance kernels. Kernels
+  /// append unsorted pairs; the caller sorts.
+  using ScanKernelFn = void (*)(const ScanView& view, double r2, std::vector<Pair>& out);
+  static void scan_kernel_scalar(const ScanView& view, double r2, std::vector<Pair>& out);
   /// One cell's emission (interior + half-neighborhood), scalar arithmetic.
   /// Also the SIMD kernels' fallback for cells touching overflow entries.
   static void scan_cell_scalar(const ScanView& view, std::uint32_t c, double r2,
                                std::vector<Pair>& out);
 #ifdef DTNIC_SIMD_X86
-  static void scan_kernel_sse2(const ScanView& view, double r2, std::uint32_t shard,
-                               std::uint32_t shard_count, std::vector<Pair>& out);
-  static void scan_kernel_avx2(const ScanView& view, double r2, std::uint32_t shard,
-                               std::uint32_t shard_count, std::vector<Pair>& out);
+  static void scan_kernel_sse2(const ScanView& view, double r2, std::vector<Pair>& out);
+  static void scan_kernel_avx2(const ScanView& view, double r2, std::vector<Pair>& out);
 #endif
   /// All-dead-lanes block the SIMD kernels use to pad odd segment counts.
   static const ScanBlock kEmptyBlock;
@@ -261,15 +217,13 @@ class SpatialGrid {
   /// Find-or-create the cell at (cx, cy); returns its pool index.
   std::uint32_t cell_at(std::int32_t cx, std::int32_t cy);
   /// Order pairs by (a, b); counting sort on dense ids, std::sort fallback.
-  /// Scratch buffers are parameters so concurrent shard calls don't share.
-  void sort_pairs(std::vector<Pair>& v, std::vector<Pair>& scratch,
-                  std::vector<std::uint32_t>& offsets) const;
-  /// Clear \p out and run the active kernel (shard_count == 0: unsharded).
-  void scan_pairs(double radius, std::uint32_t shard, std::uint32_t shard_count,
-                  std::vector<Pair>& out) const;
+  void sort_pairs(std::vector<Pair>& v) const;
   void place(std::uint32_t slot, std::uint32_t cell_index);
   /// Swap-remove the slot's entry from its cell; prunes the cell if emptied.
   void unplace(std::uint32_t slot);
+  /// Move the slot (position already in xs_/ys_) into the cell its
+  /// coordinates now map to: update_slot's cell-crossing path.
+  void relocate(std::size_t slot);
 
   double cell_size_;
   double inv_cell_size_;  ///< coord() multiplies instead of dividing
@@ -283,7 +237,7 @@ class SpatialGrid {
   /// detection never touch cell memory at all.
   std::vector<ScanBlock> blocks_;
   std::vector<std::uint32_t> counts_;
-  /// Dense neighborhood links / shard columns, parallel to pool_.
+  /// Dense neighborhood links, parallel to pool_.
   std::vector<CellLinks> links_;
   /// Inline-lane ids (raw NodeId values), kInline per cell, parallel to
   /// pool_. A separate array because ids are only read on a distance hit —
@@ -295,7 +249,7 @@ class SpatialGrid {
   util::arena::PooledMap<std::uint64_t, std::uint32_t> cell_index_;
   std::vector<Slot> slots_;
   /// Slot-indexed positions, split into separate coordinate arrays so the
-  /// staging pass and the overflow fallback stream plain double lanes.
+  /// position refresh and the overflow fallback stream plain double lanes.
   std::vector<double> xs_;
   std::vector<double> ys_;
   util::arena::PooledMap<util::NodeId, std::uint32_t> slot_of_;
@@ -306,40 +260,35 @@ class SpatialGrid {
 };
 
 // ---- hot-path inline definitions -----------------------------------------
-// stage_position / update_slot run once per node per tick; defining them in
-// the header lets callers inline the same-cell fast path (two dense stores,
-// two coordinate computations, one compare) instead of paying two cross-TU
-// calls per node.
+// update_slot runs once per node per tick; defining it in the header lets
+// callers inline the same-cell fast path (two dense stores, two coordinate
+// computations, one compare) instead of paying a cross-TU call per node.
 
 inline std::int32_t SpatialGrid::coord(double v) const {
   // Branchless floor: truncation rounds toward zero, so subtract one when
   // the scaled value was negative with a fractional part. Saves two libm
-  // floor() calls per node per staging pass on baseline x86-64 (no SSE4.1
+  // floor() calls per node per position refresh on baseline x86-64 (no SSE4.1
   // roundsd). Coordinates are assumed within int32 cell range, as before.
   const double s = v * inv_cell_size_;
   const auto t = static_cast<std::int32_t>(s);
   return t - static_cast<std::int32_t>(static_cast<double>(t) > s);
 }
 
-inline bool SpatialGrid::stage_position(std::size_t slot, util::Vec2 position) {
+inline void SpatialGrid::update_slot(std::size_t slot, util::Vec2 position) {
   const Slot& s = slots_[slot];
   xs_[slot] = position.x;
   ys_[slot] = position.y;
-  if (coord(position.x) != s.cx || coord(position.y) != s.cy) return true;
+  if (coord(position.x) != s.cx || coord(position.y) != s.cy) {
+    relocate(slot);
+    return;
+  }
   // Same cell: mirror the dense write into the cell's SoA lane so the next
-  // enumeration sees the move. Distinct slots own distinct lanes (or
-  // distinct overflow positions read through xs_/ys_), so concurrent
-  // staging of different slots never writes the same bytes.
+  // enumeration sees the move.
   if (s.index < kInline) {
     ScanBlock& block = blocks_[static_cast<std::uint32_t>(s.cell)];
     block.x[s.index] = position.x;
     block.y[s.index] = position.y;
   }
-  return false;
-}
-
-inline void SpatialGrid::update_slot(std::size_t slot, util::Vec2 position) {
-  if (stage_position(slot, position)) commit_move(slot);
 }
 
 }  // namespace dtnic::net

@@ -19,8 +19,7 @@
 
 namespace dtnic::net {
 
-void SpatialGrid::scan_kernel_avx2(const ScanView& view, double r2, std::uint32_t shard,
-                                   std::uint32_t shard_count, std::vector<Pair>& out) {
+void SpatialGrid::scan_kernel_avx2(const ScanView& view, double r2, std::vector<Pair>& out) {
   using scan_detail::kIntraMask;
   const __m256d vr2 = _mm256_set1_pd(r2);
   // Emission staging: hits land in an L1-resident stack buffer and reach
@@ -38,7 +37,6 @@ void SpatialGrid::scan_kernel_avx2(const ScanView& view, double r2, std::uint32_
     if (n == 0) continue;
     const ScanBlock& cell = view.blocks[c];
     const CellLinks& links = view.links[c];
-    if (shard_count != 0 && shard_of_cell(links.cx, shard_count) != shard) continue;
     // Gather the candidate segments: the cell itself (segment 0, with the
     // intra mask keeping only j > i) plus its *present* half-neighborhood
     // directions, compacted to the front so absent directions cost no

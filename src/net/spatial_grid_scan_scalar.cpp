@@ -56,17 +56,15 @@ void SpatialGrid::scan_cell_scalar(const ScanView& view, std::uint32_t c, double
   }
 }
 
-void SpatialGrid::scan_kernel_scalar(const ScanView& view, double r2, std::uint32_t shard,
-                                     std::uint32_t shard_count, std::vector<Pair>& out) {
+void SpatialGrid::scan_kernel_scalar(const ScanView& view, double r2,
+                                     std::vector<Pair>& out) {
   // Freed pool entries keep counts[c] == 0, so one dense sweep of the
   // L1-resident count array visits exactly the live cells without consulting
   // the hash map at all. A cell emits its interior pairs plus all pairs
-  // against its half-neighborhood, so pair ownership follows cell ownership:
-  // each unordered pair is emitted by exactly one cell, and filtering cells
-  // partitions the pair set.
+  // against its half-neighborhood, so each unordered pair is emitted by
+  // exactly one cell.
   for (std::size_t c = 0; c < view.pool_size; ++c) {
     if (view.counts[c] == 0) continue;
-    if (shard_count != 0 && shard_of_cell(view.links[c].cx, shard_count) != shard) continue;
     scan_cell_scalar(view, static_cast<std::uint32_t>(c), r2, out);
   }
   // Pairs leave every kernel carrying d²; sort_pairs applies the √ during

@@ -17,8 +17,7 @@
 
 namespace dtnic::net {
 
-void SpatialGrid::scan_kernel_sse2(const ScanView& view, double r2, std::uint32_t shard,
-                                   std::uint32_t shard_count, std::vector<Pair>& out) {
+void SpatialGrid::scan_kernel_sse2(const ScanView& view, double r2, std::vector<Pair>& out) {
   using scan_detail::kIntraMask;
   const __m128d vr2 = _mm_set1_pd(r2);
   // Emission staging — see the AVX2 kernel: bulk flushes replace per-pair
@@ -35,7 +34,6 @@ void SpatialGrid::scan_kernel_sse2(const ScanView& view, double r2, std::uint32_
     if (n == 0) continue;
     const ScanBlock& cell = view.blocks[c];
     const CellLinks& links = view.links[c];
-    if (shard_count != 0 && shard_of_cell(links.cx, shard_count) != shard) continue;
     // Branchless compacted segment gather — see the AVX2 kernel for the
     // rationale (predicated write cursor, all-dead padding for odd counts).
     const ScanBlock* segs[6];

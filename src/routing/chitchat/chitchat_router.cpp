@@ -47,37 +47,6 @@ void ChitChatRouter::on_link_up(Host& self, Host& peer, util::SimTime now, doubl
   table_.note_seen_shared(other->table_, now);
 }
 
-double ChitChatRouter::message_strength(const msg::Message& m) const {
-  const std::uint64_t generation = table_.generation();
-  if (strength_cache_.size() >= kStrengthCacheCap) {
-    // Drop stale-generation entries; they would be recomputed on touch
-    // anyway. (Current-generation entries survive, keeping an active
-    // plan/promise round warm.)
-    for (auto it = strength_cache_.begin(); it != strength_cache_.end();) {
-      if (it->second.generation != generation) {
-        it = strength_cache_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (strength_cache_.size() >= kStrengthCacheCap) strength_cache_.clear();
-  }
-  auto [it, inserted] = strength_cache_.try_emplace(m.id());
-  StrengthEntry& entry = it->second;
-  if (inserted || entry.stamp != m.keyword_stamp() || entry.generation != generation) {
-    entry.stamp = m.keyword_stamp();
-    entry.generation = generation;
-    entry.strength = table_.sum_weights(m.keywords());
-  }
-  return entry.strength;
-}
-
-std::vector<ForwardPlan> ChitChatRouter::plan(Host& self, Host& peer, util::SimTime now) {
-  std::vector<ForwardPlan> plans;
-  plan_into(self, peer, now, plans);
-  return plans;
-}
-
 void ChitChatRouter::plan_into(Host& self, Host& peer, util::SimTime now,
                                std::vector<ForwardPlan>& out) {
   plan_for_peer(self, peer, now, out);
@@ -88,9 +57,8 @@ void ChitChatRouter::plan_for_peer(Host& self, const Peer& peer, util::SimTime n
   (void)now;
   out.clear();
   out.reserve(self.buffer().size());
-  // Peer::message_strength of an in-process Host is the peer router's
-  // memoized Σw, so this plan is bit-identical to the pre-seam direct
-  // ChitChatRouter::of(peer) queries.
+  // Peer::message_strength of an in-process Host is the peer router's Σw,
+  // so this plan is bit-identical to direct ChitChatRouter::of(peer) queries.
   const bool peer_runs_chitchat = peer.interest_table() != nullptr;
   self.buffer().for_each([&](const msg::Message& m) {
     if (peer.has_seen(m.id())) return;

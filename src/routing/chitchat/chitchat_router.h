@@ -1,7 +1,5 @@
 #pragma once
 
-#include <unordered_map>
-
 #include "routing/chitchat/interest_table.h"
 #include "routing/router.h"
 
@@ -37,8 +35,6 @@ class ChitChatRouter : public Router {
   void pre_exchange(Host& self, util::SimTime now,
                     std::span<Host* const> neighbors) override;
   void on_link_up(Host& self, Host& peer, util::SimTime now, double distance_m) override;
-  [[nodiscard]] std::vector<ForwardPlan> plan(Host& self, Host& peer,
-                                              util::SimTime now) override;
   void plan_into(Host& self, Host& peer, util::SimTime now,
                  std::vector<ForwardPlan>& out) override;
 
@@ -52,19 +48,9 @@ class ChitChatRouter : public Router {
                              std::vector<ForwardPlan>& out);
 
   /// Sum of this node's interest weights over the message's keywords (S_u).
-  /// Memoized per (message id, annotation stamp, table generation): within
-  /// one contact plan/promise round the sum is computed once per message,
-  /// not once per query. The cached value is always bit-identical to a
-  /// from-scratch sum_weights over the same keyword list.
-  ///
-  /// THREADING: logically const but structurally mutating (it populates
-  /// strength_cache_). The staged exchange may query a router's strength
-  /// from several links' plan tasks — the scenario serializes those callers
-  /// by locking this node's host mutex (the lock set of a planned link
-  /// covers both endpoints and their neighborhoods). Population order never
-  /// changes the returned values, so the lock only prevents the structural
-  /// data race, not a behavioral one.
-  [[nodiscard]] double message_strength(const msg::Message& m) const;
+  [[nodiscard]] double message_strength(const msg::Message& m) const {
+    return table_.sum_weights(m.keywords());
+  }
 
  protected:
   /// Derived incentive schemes pass their own RouterKind tag.
@@ -76,16 +62,6 @@ class ChitChatRouter : public Router {
   util::SimTime contact_quantum_;
 
  private:
-  struct StrengthEntry {
-    std::uint64_t stamp = 0;
-    std::uint64_t generation = 0;
-    double strength = 0.0;
-  };
-  /// Entries beyond this are pruned (stale generations first); bounds the
-  /// cache under long runs where message ids keep growing.
-  static constexpr std::size_t kStrengthCacheCap = 4096;
-
-  mutable std::unordered_map<msg::MessageId, StrengthEntry> strength_cache_;
   /// Scratch for pre_exchange: connected neighbors' interest tables.
   std::vector<const chitchat::InterestTable*> neighbor_tables_;
 };

@@ -35,7 +35,6 @@ void InterestTable::add_direct(KeywordId k, SimTime now) {
   direct_[k.value() / kWordBits] |= Word{1} << (k.value() % kWordBits);
   weight_[k.value()] = std::max(weight_[k.value()], params_.initial_weight);
   last_seen_[k.value()] = now.sec();
-  ++generation_;
 }
 
 double InterestTable::sum_weights(std::span<const KeywordId> keywords) const {
@@ -52,7 +51,6 @@ double InterestTable::mean_weight(std::span<const KeywordId> keywords) const {
 template <class ConnectedMask>
 void InterestTable::decay_impl(SimTime now, ConnectedMask&& connected_mask) {
   const double now_s = now.sec();
-  bool changed = false;
   for (std::size_t w = 0; w < present_.size(); ++w) {
     const Word live = present_[w];
     if (live == 0) continue;
@@ -73,19 +71,16 @@ void InterestTable::decay_impl(SimTime now, ConnectedMask&& connected_mask) {
       const double before = weight_[k];
       const bool direct = (direct_[w] & mask) != 0;
       const double after = direct ? (before - 0.5) / divisor + 0.5 : before / divisor;
-      changed = changed || after != before;
       last_seen_[k] = now_s;  // decay applied up to `now`
       if (!direct && after < params_.prune_epsilon) {
         present_[w] &= ~mask;
         weight_[k] = 0.0;
         --size_;
-        changed = true;
       } else {
         weight_[k] = after;
       }
     }
   }
-  if (changed) ++generation_;
 }
 
 void InterestTable::decay(SimTime now, const std::function<bool(KeywordId)>& connected_has) {
@@ -127,7 +122,6 @@ void InterestTable::grow_from(const InterestTable& peer, SimTime now, double con
   DTNIC_REQUIRE(contact_quantum_s >= 0.0);
   const double quantum = std::min(contact_quantum_s, params_.growth_contact_cap_s);
   const double now_s = now.sec();
-  bool changed = false;
   for (std::size_t w = 0; w < peer.present_.size(); ++w) {
     // Membership words as of the start of this word: each bit is visited
     // once, so an acquisition below never invalidates them for later bits.
@@ -147,13 +141,10 @@ void InterestTable::grow_from(const InterestTable& peer, SimTime now, double con
           params_.growth_rate * peer_weight * quantum / static_cast<double>(divisor);
       if (delta <= 0.0) continue;
       if (!self_has) insert(k);  // acquires a transient slot at weight 0
-      const double before = weight_[k];
-      weight_[k] = std::min(params_.max_weight, before + delta);
+      weight_[k] = std::min(params_.max_weight, weight_[k] + delta);
       last_seen_[k] = now_s;
-      changed = changed || !self_has || weight_[k] != before;
     }
   }
-  if (changed) ++generation_;
 }
 
 void InterestTable::note_seen(KeywordId k, SimTime now) {
@@ -178,7 +169,6 @@ void InterestTable::restore(KeywordId k, double weight, bool direct, SimTime now
   word = direct ? (word | bit) : (word & ~bit);
   weight_[k.value()] = weight;
   last_seen_[k.value()] = now.sec();
-  ++generation_;
 }
 
 void InterestTable::clear() {
@@ -186,7 +176,6 @@ void InterestTable::clear() {
   std::fill(present_.begin(), present_.end(), Word{0});
   std::fill(direct_.begin(), direct_.end(), Word{0});
   size_ = 0;
-  ++generation_;
 }
 
 std::vector<InterestTable::Entry> InterestTable::entries() const {

@@ -74,12 +74,6 @@ class InterestTable {
   [[nodiscard]] double mean_weight(std::span<const KeywordId> keywords) const;
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// Monotone counter bumped whenever a weight changes or a slot appears or
-  /// disappears (add_direct / decay / grow_from / restore / clear). Strength
-  /// caches key on it: while the generation holds, every sum_weights result
-  /// is still valid.
-  [[nodiscard]] std::uint64_t generation() const { return generation_; }
-
   /// Decay phase. \p connected_has(I) reports whether some *currently
   /// connected* device shares interest I — such interests do not decay and
   /// their last-seen timestamp refreshes (Algorithm 1).
@@ -167,7 +161,6 @@ class InterestTable {
   std::vector<Word> present_;      ///< bit k: keyword k has a slot
   std::vector<Word> direct_;       ///< bit k: the slot is a direct interest
   std::size_t size_ = 0;
-  std::uint64_t generation_ = 0;
 };
 
 }  // namespace dtnic::routing::chitchat

@@ -2,16 +2,15 @@
 
 namespace dtnic::routing {
 
-std::vector<ForwardPlan> DirectDeliveryRouter::plan(Host& self, Host& peer,
-                                                    util::SimTime now) {
+void DirectDeliveryRouter::plan_into(Host& self, Host& peer, util::SimTime now,
+                                     std::vector<ForwardPlan>& out) {
   (void)now;
-  std::vector<ForwardPlan> plans;
+  out.clear();
   for (const msg::Message* m : self.buffer().messages()) {
     if (peer.has_seen(m->id())) continue;
     if (!oracle().is_destination(peer.id(), *m)) continue;
-    plans.push_back(ForwardPlan{m->id(), TransferRole::kDestination});
+    out.push_back(ForwardPlan{m->id(), TransferRole::kDestination});
   }
-  return plans;
 }
 
 }  // namespace dtnic::routing

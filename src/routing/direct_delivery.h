@@ -14,8 +14,8 @@ class DirectDeliveryRouter : public Router {
   explicit DirectDeliveryRouter(const DestinationOracle& oracle)
       : Router(oracle, RouterKind::kDirectDelivery) {}
 
-  [[nodiscard]] std::vector<ForwardPlan> plan(Host& self, Host& peer,
-                                              util::SimTime now) override;
+  void plan_into(Host& self, Host& peer, util::SimTime now,
+                 std::vector<ForwardPlan>& out) override;
 };
 
 }  // namespace dtnic::routing

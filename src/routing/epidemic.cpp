@@ -2,17 +2,17 @@
 
 namespace dtnic::routing {
 
-std::vector<ForwardPlan> EpidemicRouter::plan(Host& self, Host& peer, util::SimTime now) {
+void EpidemicRouter::plan_into(Host& self, Host& peer, util::SimTime now,
+                               std::vector<ForwardPlan>& out) {
   (void)now;
-  std::vector<ForwardPlan> plans;
+  out.clear();
   for (const msg::Message* m : self.buffer().messages()) {
     if (peer.has_seen(m->id())) continue;
     const TransferRole role = oracle().is_destination(peer.id(), *m)
                                   ? TransferRole::kDestination
                                   : TransferRole::kRelay;
-    plans.push_back(ForwardPlan{m->id(), role});
+    out.push_back(ForwardPlan{m->id(), role});
   }
-  return plans;
 }
 
 }  // namespace dtnic::routing

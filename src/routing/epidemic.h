@@ -15,8 +15,8 @@ class EpidemicRouter : public Router {
                           RouterKind kind = RouterKind::kEpidemic)
       : Router(oracle, kind) {}
 
-  [[nodiscard]] std::vector<ForwardPlan> plan(Host& self, Host& peer,
-                                              util::SimTime now) override;
+  void plan_into(Host& self, Host& peer, util::SimTime now,
+                 std::vector<ForwardPlan>& out) override;
 };
 
 }  // namespace dtnic::routing

@@ -14,8 +14,8 @@ class FirstContactRouter : public Router {
   explicit FirstContactRouter(const DestinationOracle& oracle)
       : Router(oracle, RouterKind::kFirstContact) {}
 
-  [[nodiscard]] std::vector<ForwardPlan> plan(Host& self, Host& peer,
-                                              util::SimTime now) override;
+  void plan_into(Host& self, Host& peer, util::SimTime now,
+                 std::vector<ForwardPlan>& out) override;
   void on_sent(Host& self, Host& peer, const msg::Message& m, const ForwardPlan& plan,
                util::SimTime now) override;
 };

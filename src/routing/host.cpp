@@ -27,9 +27,8 @@ const chitchat::InterestTable* Host::interest_table() const {
 
 double Host::message_strength(const msg::Message& m) const {
   if (router_ == nullptr || !is_chitchat_kind(router_->kind())) return 0.0;
-  // The router's memoized strength, so Peer-mediated queries return the
-  // exact bits the direct ChitChatRouter::of(host)->message_strength(m)
-  // calls they replaced did.
+  // The router's own strength, so Peer-mediated queries return the exact
+  // bits of a direct ChitChatRouter::of(host)->message_strength(m) call.
   return static_cast<const ChitChatRouter&>(*router_).message_strength(m);
 }
 

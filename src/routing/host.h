@@ -64,7 +64,7 @@ class Host final : public Peer {
 
   /// --- Peer (transport-neutral view of this node as a contact) ------------
   /// The attached ChitChat-family router's interest table (nullptr for other
-  /// schemes), and its memoized Σw strength — so planning against a Host
+  /// schemes), and its Σw strength — so planning against a Host
   /// through the Peer interface is bit-identical to the direct router calls
   /// it replaces.
   [[nodiscard]] const chitchat::InterestTable* interest_table() const final;

@@ -48,20 +48,20 @@ double NectarRouter::index_toward(const msg::Message& m, util::SimTime now) cons
   return best;
 }
 
-std::vector<ForwardPlan> NectarRouter::plan(Host& self, Host& peer, util::SimTime now) {
-  std::vector<ForwardPlan> plans;
+void NectarRouter::plan_into(Host& self, Host& peer, util::SimTime now,
+                             std::vector<ForwardPlan>& out) {
+  out.clear();
   const NectarRouter* other = NectarRouter::of(peer);
   for (const msg::Message* m : self.buffer().messages()) {
     if (peer.has_seen(m->id())) continue;
     if (oracle().is_destination(peer.id(), *m)) {
-      plans.push_back(ForwardPlan{m->id(), TransferRole::kDestination});
+      out.push_back(ForwardPlan{m->id(), TransferRole::kDestination});
       continue;
     }
     if (other != nullptr && other->index_toward(*m, now) > index_toward(*m, now)) {
-      plans.push_back(ForwardPlan{m->id(), TransferRole::kRelay});
+      out.push_back(ForwardPlan{m->id(), TransferRole::kRelay});
     }
   }
-  return plans;
 }
 
 }  // namespace dtnic::routing

@@ -26,8 +26,8 @@ class NectarRouter : public Router {
   NectarRouter(const StaticInterestOracle& oracle, const NectarParams& params);
 
   void on_link_up(Host& self, Host& peer, util::SimTime now, double distance_m) override;
-  [[nodiscard]] std::vector<ForwardPlan> plan(Host& self, Host& peer,
-                                              util::SimTime now) override;
+  void plan_into(Host& self, Host& peer, util::SimTime now,
+                 std::vector<ForwardPlan>& out) override;
 
   /// Decayed meeting frequency with \p node.
   [[nodiscard]] double index_of(NodeId node, util::SimTime now) const;

@@ -10,7 +10,7 @@
 /// routing::Host, so the same protocol code drives both execution modes:
 ///
 ///   * simulation — Host implements Peer directly (the peer is another
-///     in-process Host; strength queries hit the peer router's memo cache);
+///     in-process Host; strength queries read the peer router's interest table);
 ///   * live overlay — live::RemotePeer implements Peer from wire state (the
 ///     HELLO rank, the peer's last interest-table digest, and the observed
 ///     duplicate/accept history stand in for direct object access).

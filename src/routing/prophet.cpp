@@ -64,21 +64,21 @@ double ProphetRouter::predictability_for(const msg::Message& m) const {
   return best;
 }
 
-std::vector<ForwardPlan> ProphetRouter::plan(Host& self, Host& peer, util::SimTime now) {
+void ProphetRouter::plan_into(Host& self, Host& peer, util::SimTime now,
+                              std::vector<ForwardPlan>& out) {
   age(now);
-  std::vector<ForwardPlan> plans;
+  out.clear();
   const ProphetRouter* other = ProphetRouter::of(peer);
   for (const msg::Message* m : self.buffer().messages()) {
     if (peer.has_seen(m->id())) continue;
     if (oracle().is_destination(peer.id(), *m)) {
-      plans.push_back(ForwardPlan{m->id(), TransferRole::kDestination});
+      out.push_back(ForwardPlan{m->id(), TransferRole::kDestination});
       continue;
     }
     if (other != nullptr && other->predictability_for(*m) > predictability_for(*m)) {
-      plans.push_back(ForwardPlan{m->id(), TransferRole::kRelay});
+      out.push_back(ForwardPlan{m->id(), TransferRole::kRelay});
     }
   }
-  return plans;
 }
 
 }  // namespace dtnic::routing

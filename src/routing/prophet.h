@@ -30,8 +30,8 @@ class ProphetRouter : public Router {
   ProphetRouter(const DestinationOracle& oracle, const ProphetParams& params);
 
   void on_link_up(Host& self, Host& peer, util::SimTime now, double distance_m) override;
-  [[nodiscard]] std::vector<ForwardPlan> plan(Host& self, Host& peer,
-                                              util::SimTime now) override;
+  void plan_into(Host& self, Host& peer, util::SimTime now,
+                 std::vector<ForwardPlan>& out) override;
 
   /// Best predictability over the message's keywords (0 if none known).
   [[nodiscard]] double predictability_for(const msg::Message& m) const;

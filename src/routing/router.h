@@ -15,12 +15,12 @@
 /// Host; the contact controller drives the protocol:
 ///
 ///   link up:   pre_exchange(both) -> on_link_up(both) -> pump
-///   pump:      plan() -> peer accept() -> transfer starts
+///   pump:      plan_into() -> peer accept() -> transfer starts
 ///   complete:  prepare_send(sender) -> on_sent(sender) -> on_received(peer)
 ///   link down: on_link_down(both), in-flight transfer aborted
 ///
 /// The base class implements the common store-and-mark-seen behavior; the
-/// concrete routers differ in plan() and the hooks.
+/// concrete routers differ in plan_into() and the hooks.
 
 namespace dtnic::routing {
 
@@ -80,39 +80,28 @@ class Router {
     (void)self; (void)peer; (void)now;
   }
 
-  /// The ordered transfer wishlist from \p self to \p peer right now.
-  /// Implementations must not offer messages \p peer has already seen.
-  [[nodiscard]] virtual std::vector<ForwardPlan> plan(Host& self, Host& peer,
-                                                      util::SimTime now) = 0;
-
-  /// Allocation-aware variant of plan(): fill \p out (cleared first) instead
-  /// of returning a fresh vector, so a caller-owned scratch vector absorbs
-  /// the per-contact allocation. The default forwards to plan(); the hot
-  /// routers (ChitChat and the incentive schemes) implement their planning
-  /// here and derive plan() from it.
+  /// The ordered transfer wishlist from \p self to \p peer right now,
+  /// written into \p out (cleared first) so a caller-owned scratch vector
+  /// absorbs the per-contact allocation. Implementations must not offer
+  /// messages \p peer has already seen.
   ///
-  /// PLAN-SIDE PURITY CONTRACT (the parallel exchange depends on it): the
-  /// scenario's staged exchange calls plan_into and accept concurrently for
-  /// different links while holding exclusive locks over {self, peer} and
-  /// both neighborhoods. An implementation must therefore (a) produce
-  /// outputs that are a deterministic function of state frozen for the tick
-  /// — no RNG draws, no time-of-call dependence beyond \p now — and
-  /// (b) confine any mutation to logically-const memoization or member
-  /// scratch of routers in that locked set (e.g. the ChitChat strength
-  /// cache, PRoPHET's idempotent same-timestamp aging). Observable protocol
-  /// state may only change in the commit-side hooks (on_sent, on_received,
-  /// on_link_up/down), which always run serially.
+  /// PLAN-SIDE PURITY CONTRACT: the contact controller may plan a link and
+  /// then find nothing to send, and it skips re-planning a link until one
+  /// endpoint's buffer changes. Planning must therefore be a deterministic
+  /// function of the current state — no RNG draws, no time-of-call
+  /// dependence beyond \p now — and leave no observable protocol state
+  /// behind; member scratch and idempotent upkeep (PRoPHET's same-timestamp
+  /// aging) are fine. Protocol state changes only in the hooks that follow
+  /// a decision (on_sent, on_received, on_link_up/down).
   virtual void plan_into(Host& self, Host& peer, util::SimTime now,
-                         std::vector<ForwardPlan>& out) {
-    out = plan(self, peer, now);
-  }
+                         std::vector<ForwardPlan>& out) = 0;
 
   /// Peer-side admission control, evaluated before the transfer starts.
   /// \p offer carries the sender's role decision and incentive terms.
   /// Subject to the same plan-side purity contract as plan_into: the base
   /// implementation is a read-only has_seen check, and every in-tree
   /// override only reads state (ratings trust gate, ledger affordability,
-  /// buffer admission) of the locked {self, from} pair.
+  /// buffer admission) of \p self and \p from.
   ///
   /// \p from is the transport-neutral Peer view of the sender (peer.h): in
   /// the simulator it is the sending Host; in live mode it is the

@@ -19,18 +19,18 @@ void SprayAndWaitRouter::on_originated(Host& self, const msg::Message& m, util::
   if (stored != nullptr) stored->set_property(kCopiesProperty, initial_copies_);
 }
 
-std::vector<ForwardPlan> SprayAndWaitRouter::plan(Host& self, Host& peer, util::SimTime now) {
+void SprayAndWaitRouter::plan_into(Host& self, Host& peer, util::SimTime now,
+                                   std::vector<ForwardPlan>& out) {
   (void)now;
-  std::vector<ForwardPlan> plans;
+  out.clear();
   for (const msg::Message* m : self.buffer().messages()) {
     if (peer.has_seen(m->id())) continue;
     if (oracle().is_destination(peer.id(), *m)) {
-      plans.push_back(ForwardPlan{m->id(), TransferRole::kDestination});
+      out.push_back(ForwardPlan{m->id(), TransferRole::kDestination});
     } else if (copies_of(*m) > 1) {
-      plans.push_back(ForwardPlan{m->id(), TransferRole::kRelay});
+      out.push_back(ForwardPlan{m->id(), TransferRole::kRelay});
     }
   }
-  return plans;
 }
 
 void SprayAndWaitRouter::prepare_send(Host& self, Host& peer, msg::Message& copy,

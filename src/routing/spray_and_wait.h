@@ -17,8 +17,8 @@ class SprayAndWaitRouter : public Router {
 
   SprayAndWaitRouter(const DestinationOracle& oracle, int initial_copies);
 
-  [[nodiscard]] std::vector<ForwardPlan> plan(Host& self, Host& peer,
-                                              util::SimTime now) override;
+  void plan_into(Host& self, Host& peer, util::SimTime now,
+                 std::vector<ForwardPlan>& out) override;
   void prepare_send(Host& self, Host& peer, msg::Message& copy, const ForwardPlan& plan,
                     util::SimTime now) override;
   void on_sent(Host& self, Host& peer, const msg::Message& m, const ForwardPlan& plan,

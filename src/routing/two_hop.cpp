@@ -2,21 +2,21 @@
 
 namespace dtnic::routing {
 
-std::vector<ForwardPlan> TwoHopRouter::plan(Host& self, Host& peer, util::SimTime now) {
+void TwoHopRouter::plan_into(Host& self, Host& peer, util::SimTime now,
+                             std::vector<ForwardPlan>& out) {
   (void)now;
-  std::vector<ForwardPlan> plans;
+  out.clear();
   for (const msg::Message* m : self.buffer().messages()) {
     if (peer.has_seen(m->id())) continue;
     if (oracle().is_destination(peer.id(), *m)) {
-      plans.push_back(ForwardPlan{m->id(), TransferRole::kDestination});
+      out.push_back(ForwardPlan{m->id(), TransferRole::kDestination});
       continue;
     }
     // Only the source sprays relay copies; relays wait for destinations.
     if (m->source() == self.id()) {
-      plans.push_back(ForwardPlan{m->id(), TransferRole::kRelay});
+      out.push_back(ForwardPlan{m->id(), TransferRole::kRelay});
     }
   }
-  return plans;
 }
 
 }  // namespace dtnic::routing

@@ -14,8 +14,8 @@ class TwoHopRouter : public Router {
   explicit TwoHopRouter(const DestinationOracle& oracle)
       : Router(oracle, RouterKind::kTwoHop) {}
 
-  [[nodiscard]] std::vector<ForwardPlan> plan(Host& self, Host& peer,
-                                              util::SimTime now) override;
+  void plan_into(Host& self, Host& peer, util::SimTime now,
+                 std::vector<ForwardPlan>& out) override;
 };
 
 }  // namespace dtnic::routing

@@ -27,16 +27,15 @@ void VaccineEpidemicRouter::on_link_up(Host& self, Host& peer, util::SimTime now
   }
 }
 
-std::vector<ForwardPlan> VaccineEpidemicRouter::plan(Host& self, Host& peer,
-                                                     util::SimTime now) {
-  std::vector<ForwardPlan> plans = EpidemicRouter::plan(self, peer, now);
+void VaccineEpidemicRouter::plan_into(Host& self, Host& peer, util::SimTime now,
+                                      std::vector<ForwardPlan>& out) {
+  EpidemicRouter::plan_into(self, peer, now, out);
   // Do not offer messages the peer is known to be immune to.
   const VaccineEpidemicRouter* other = VaccineEpidemicRouter::of(peer);
-  std::erase_if(plans, [this, other](const ForwardPlan& p) {
+  std::erase_if(out, [this, other](const ForwardPlan& p) {
     if (immune_.count(p.message)) return true;
     return other != nullptr && other->immune_to(p.message);
   });
-  return plans;
 }
 
 AcceptDecision VaccineEpidemicRouter::accept(Host& self, const Peer& from, const msg::Message& m,

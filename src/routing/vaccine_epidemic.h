@@ -29,8 +29,8 @@ class VaccineEpidemicRouter : public EpidemicRouter {
                                       const ForwardPlan& offer, util::SimTime now) override;
   void on_received(Host& self, Host& from, msg::Message m, const ForwardPlan& plan,
                    util::SimTime now) override;
-  [[nodiscard]] std::vector<ForwardPlan> plan(Host& self, Host& peer,
-                                              util::SimTime now) override;
+  void plan_into(Host& self, Host& peer, util::SimTime now,
+                 std::vector<ForwardPlan>& out) override;
 
   [[nodiscard]] bool immune_to(MessageId id) const { return immune_.count(id) > 0; }
   [[nodiscard]] std::size_t immunity_count() const { return immune_.size(); }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "scenario/result.h"
 #include "sim/simulator.h"
 #include "stats/metrics.h"
-#include "util/thread_pool.h"
 
 /// \file scenario.h
 /// Wires every subsystem into one runnable world: mobility + connectivity
@@ -72,12 +70,6 @@ class Scenario {
     return link_toggle_.size() + refused_this_contact_.size() + idle_memo_.size();
   }
 
-  /// Times the commit stage found a stale staged plan and re-ran the serial
-  /// pump inline. Zero in a pure exchange tick (commit never touches
-  /// buffers); nonzero only if something mutated a buffer between the plan
-  /// and commit stages.
-  [[nodiscard]] std::uint64_t exchange_replans() const { return exchange_replans_; }
-
   /// Sum of all ledgers right now (token conservation checks).
   [[nodiscard]] double total_tokens() const;
 
@@ -97,17 +89,8 @@ class Scenario {
   void handle_transfer_abort(const net::TransferManager::Transfer& t);
   /// Try to start the next transfer on an idle link; alternates direction.
   void pump(routing::NodeId a, routing::NodeId b);
+  /// The exchange tick: pump every connected pair in sorted pair order.
   void pump_all_idle();
-
-  // Parallel exchange (DESIGN.md "Parallel exchange phase"): pump_all_idle
-  // splits into a read-only plan stage fanned across exchange_threads and a
-  // serial commit stage that replays the staged outcomes in the exact
-  // serial pair order — bit-identical to the serial pump by construction.
-  void plan_staged();
-  void commit_staged();
-  void stage_link(std::size_t index, std::size_t worker);
-  /// Append the node ids currently connected to \p id to \p out.
-  void append_neighbor_ids(routing::NodeId id, std::vector<std::uint32_t>& out) const;
 
   // Workload.
   void schedule_next_message(std::size_t index);
@@ -151,16 +134,13 @@ class Scenario {
   net::ContactTrace trace_;
 
   /// Per-phase wall-clock accumulators (util::ScopedTimer; exclusive).
-  /// The routing phase is split into three sub-counters that partition it:
+  /// The routing phase is split into two sub-counters that partition it:
   /// pre (contact handlers: pre-exchange/link-up/down and their inline
-  /// pumps), plan (the exchange planning stage of pump_all_idle), and
-  /// commit (the serial replay; the fused serial loop counts here too).
+  /// pumps) and commit (the exchange tick, pump_all_idle).
   std::uint64_t routing_pre_ns_ = 0;
-  std::uint64_t routing_plan_ns_ = 0;
   std::uint64_t routing_commit_ns_ = 0;
   std::uint64_t transfer_ns_ = 0;
   std::uint64_t workload_ns_ = 0;
-  std::uint64_t exchange_replans_ = 0;
 
   struct PendingTransfer {
     routing::ForwardPlan plan;
@@ -181,52 +161,9 @@ class Scenario {
   std::vector<routing::Host*> neighbors_b_scratch_;
   std::vector<routing::ForwardPlan> plan_scratch_;
 
-  // --- staged exchange state ------------------------------------------------
-  /// One offer the plan stage walked that had an observable outcome: either
-  /// a refusal (replayed as fanout + refused-set insert) or the accepted
-  /// transfer. Offers skipped with no side effect (already refused this
-  /// contact, message gone) are not recorded.
-  struct StagedOffer {
-    routing::ForwardPlan plan;
-    std::uint64_t offer_key = 0;
-    routing::NodeId from;
-    routing::NodeId to;
-    routing::AcceptDecision decision = routing::AcceptDecision::kRefused;
-  };
-  /// The staged outcome of one link's pump, plus the buffer revisions it was
-  /// planned against. Commit validates the revisions before replaying; on a
-  /// mismatch the serial pump re-plans the link inline.
-  struct StagedLink {
-    routing::NodeId a;
-    routing::NodeId b;
-    std::uint64_t key = 0;
-    std::pair<std::uint64_t, std::uint64_t> revisions{0, 0};
-    bool gated = false;     ///< no link / link busy at plan time: no-op
-    bool idle = false;      ///< idle-memo hit at plan time: no-op
-    bool accepted = false;  ///< offers ends with the accepted transfer
-    std::vector<StagedOffer> offers;  ///< serial walk order
-  };
-  /// Per-worker planning scratch, one slot per co_run task.
-  struct ExchangeScratch {
-    std::vector<routing::ForwardPlan> plans;
-    std::vector<std::uint32_t> lock_ids;
-  };
-  std::size_t exchange_threads_ = 1;  ///< resolved (0 = auto) at build()
-  /// Dedicated plan-stage pool of exchange_threads_ - 1 workers; never the
-  /// shared pool, whose queue may hold whole-seed experiment jobs (a nested
-  /// co_run wait there can deadlock). Null when the exchange is serial.
-  std::unique_ptr<util::ThreadPool> exchange_pool_;
-  /// One mutex per host: a plan task locks {a, b} and both neighborhoods
-  /// (sorted, so acquisition is deadlock-free) before planning link (a, b),
-  /// serializing the routers' memo caches and member scratch without
-  /// affecting outputs — every planned value is a pure function of state
-  /// frozen for the tick.
-  std::unique_ptr<std::mutex[]> host_locks_;
-  std::vector<std::pair<routing::NodeId, routing::NodeId>> staged_pairs_;
-  std::vector<StagedLink> staged_;
-  std::vector<ExchangeScratch> exchange_scratch_;
-
-  friend struct ScenarioTestPeer;
+  /// Host indices of the malicious nodes, ascending; built once in build()
+  /// so the Fig. 5.4 sampler walks raters x malicious, not hosts x hosts.
+  std::vector<std::size_t> malicious_;
 
   stats::TimeSeries malicious_rating_series_;
   stats::TimeSeries mean_tokens_series_;

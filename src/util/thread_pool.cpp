@@ -1,7 +1,5 @@
 #include "util/thread_pool.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <utility>
 
@@ -36,76 +34,6 @@ void ThreadPool::worker_loop() {
       tasks_.pop_front();
     }
     task();  // packaged_task captures exceptions into the future
-  }
-}
-
-namespace {
-
-/// One co_run call's shared state. Tasks are claimed from an atomic counter
-/// by the caller and by the helper jobs it queues; each helper holds the
-/// batch by shared_ptr, so a helper that dequeues after every task was
-/// claimed finds nothing to do and never touches the (by then out of scope)
-/// task function.
-struct CoRunBatch {
-  CoRunBatch(std::size_t task_count, const std::function<void(std::size_t)>& task_fn)
-      : fn(&task_fn), tasks(task_count), errors(task_count) {}
-
-  const std::function<void(std::size_t)>* fn;
-  std::size_t tasks;
-  std::atomic<std::size_t> next{1};  ///< task 0 belongs to the caller
-  std::atomic<std::size_t> finished{0};
-  std::vector<std::exception_ptr> errors;  ///< by task index
-  std::mutex mutex;
-  std::condition_variable all_done;
-
-  void run(std::size_t i) {
-    try {
-      (*fn)(i);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-    if (finished.fetch_add(1, std::memory_order_acq_rel) + 1 == tasks) {
-      const std::lock_guard<std::mutex> lock(mutex);
-      all_done.notify_all();
-    }
-  }
-
-  /// Claim and run tasks until none is left unclaimed.
-  void help() {
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < tasks;
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      run(i);
-    }
-  }
-};
-
-}  // namespace
-
-void ThreadPool::co_run(std::size_t tasks, const std::function<void(std::size_t)>& fn) {
-  if (tasks == 0) return;
-  auto batch = std::make_shared<CoRunBatch>(tasks, fn);
-  const std::size_t helpers = std::min(tasks - 1, workers_.size());
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) throw std::runtime_error("ThreadPool: co_run after shutdown");
-    for (std::size_t h = 0; h < helpers; ++h) tasks_.emplace_back([batch] { batch->help(); });
-  }
-  for (std::size_t h = 0; h < helpers; ++h) wake_.notify_one();
-
-  // The caller runs task 0, then keeps claiming: tasks no worker has picked
-  // up yet run here instead of waiting on a wake-up.
-  batch->run(0);
-  batch->help();
-  {
-    std::unique_lock<std::mutex> lock(batch->mutex);
-    batch->all_done.wait(lock, [&batch] {
-      return batch->finished.load(std::memory_order_acquire) == batch->tasks;
-    });
-  }
-  // Move the exception out: a late helper may drop the last reference to
-  // the batch on its own thread while the caller is handling it.
-  for (std::exception_ptr& error : batch->errors) {
-    if (error) std::rethrow_exception(std::exchange(error, nullptr));
   }
 }
 

@@ -80,7 +80,7 @@ TEST_F(IncentiveRouterFixture, PlansCarryPromises) {
   Host& dest = make_node({"flood"});
   seed_message(src, {"flood"});
   w.link_up(src, dest, kT0);
-  const auto plans = src.router().plan(src, dest, kT0);
+  const auto plans = test::plan_of(src, dest, kT0);
   ASSERT_EQ(plans.size(), 1u);
   EXPECT_EQ(plans[0].role, TransferRole::kDestination);
   EXPECT_GT(plans[0].promise, 0.0);
@@ -121,7 +121,7 @@ TEST_F(IncentiveRouterFixture, BrokeDestinationRefuses) {
   Host& dest = make_node({"flood"});
   seed_message(src, {"flood"});
   w.link_up(src, dest, kT0);
-  const auto plans = src.router().plan(src, dest, kT0);
+  const auto plans = test::plan_of(src, dest, kT0);
   ASSERT_EQ(plans.size(), 1u);
   ASSERT_GT(plans[0].promise, 0.0);
   EXPECT_EQ(dest.router().accept(dest, src, *src.buffer().find(plans[0].message), plans[0],
@@ -136,7 +136,7 @@ TEST_F(IncentiveRouterFixture, UntrustedSenderRefused) {
   router_of(dest).ratings().add_message_rating(src.id(), 0.5);
   seed_message(src, {"flood"});
   w.link_up(src, dest, kT0);
-  const auto plans = src.router().plan(src, dest, kT0);
+  const auto plans = test::plan_of(src, dest, kT0);
   ASSERT_EQ(plans.size(), 1u);
   EXPECT_EQ(dest.router().accept(dest, src, *src.buffer().find(plans[0].message), plans[0],
                                  kT0),
@@ -325,7 +325,7 @@ TEST_F(IncentiveRouterFixture, RelayPrepaysAboveThreshold) {
 
   seed_message(src, {"flood"});
   w.link_up(src, eager_relay, kT0);
-  const auto plans = src.router().plan(src, eager_relay, kT0);
+  const auto plans = test::plan_of(src, eager_relay, kT0);
   ASSERT_FALSE(plans.empty());
   ASSERT_EQ(plans[0].role, TransferRole::kRelay);
   EXPECT_GT(plans[0].prepay, 0.0);
@@ -348,7 +348,7 @@ TEST_F(IncentiveRouterFixture, PlansOrderedByPriorityThenQuality) {
   seed_message(src, {"flood"}, msg::Priority::kMedium, 0.7);   // id 2
   seed_message(src, {"flood"}, msg::Priority::kHigh, 0.8);     // id 3
   w.link_up(src, dest, kT0);
-  const auto plans = src.router().plan(src, dest, kT0);
+  const auto plans = test::plan_of(src, dest, kT0);
   ASSERT_EQ(plans.size(), 4u);
   EXPECT_EQ(plans[0].message, msg::MessageId(3));  // high, q=.8
   EXPECT_EQ(plans[1].message, msg::MessageId(1));  // high, q=.3

@@ -181,7 +181,7 @@ TEST_F(PiFixture, DestinationsNeverRefuseForTokens) {
   Host& dest = make_node({"flood"});
   const auto id = originate(src, {"flood"});
   w.link_up(src, dest, kT0);
-  const auto plans = src.router().plan(src, dest, kT0);
+  const auto plans = test::plan_of(src, dest, kT0);
   ASSERT_EQ(plans.size(), 1u);
   EXPECT_EQ(dest.router().accept(dest, src, *src.buffer().find(id), plans[0], kT0),
             routing::AcceptDecision::kAccept);

@@ -73,38 +73,6 @@ TEST(ExperimentStress, BufferChurnWithEnrichmentMatchesSerial) {
   }
 }
 
-/// Nested parallelism stress: whole-seed runs on the shared pool while every
-/// Scenario shards its contact scans on its own dedicated pool. Under TSan
-/// this exercises the staged-position writes, per-shard pair enumeration, and
-/// the serial commit/merge handshake from many scenarios at once; in plain
-/// builds it pins the tentpole contract — per-seed results are identical for
-/// every shard_threads value, including the auto (0) setting.
-TEST(ExperimentStress, ShardedScansUnderContentionMatchSerial) {
-  util::ThreadPool::set_shared_threads(4);
-  ScenarioConfig cfg = ScenarioConfig::scaled_defaults(30, 0.5);
-  cfg.scheme = Scheme::kIncentive;
-  cfg.selfish_fraction = 0.2;
-  cfg.malicious_fraction = 0.1;
-
-  const ExperimentRunner runner(/*seeds=*/6, /*base_seed=*/31);
-  cfg.shard_threads = 1;
-  const AggregateResult serial = runner.run(cfg);
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{8}, std::size_t{0}}) {
-    cfg.shard_threads = shards;
-    const AggregateResult sharded = runner.run(cfg);
-    ASSERT_EQ(sharded.runs, serial.runs);
-    EXPECT_EQ(sharded.mdr.mean(), serial.mdr.mean()) << "shards=" << shards;
-    EXPECT_EQ(sharded.traffic.mean(), serial.traffic.mean()) << "shards=" << shards;
-    EXPECT_EQ(sharded.avg_final_tokens.mean(), serial.avg_final_tokens.mean());
-    for (std::size_t i = 0; i < sharded.raw.size(); ++i) {
-      EXPECT_EQ(sharded.raw[i].seed, serial.raw[i].seed);
-      EXPECT_EQ(sharded.raw[i].mdr, serial.raw[i].mdr);
-      EXPECT_EQ(sharded.raw[i].traffic, serial.raw[i].traffic);
-      EXPECT_EQ(sharded.raw[i].tokens_paid, serial.raw[i].tokens_paid);
-    }
-  }
-}
-
 TEST(ExperimentStress, RepeatedSweepsAreStable) {
   util::ThreadPool::set_shared_threads(4);
   std::vector<ScenarioConfig> points;

@@ -9,7 +9,7 @@
 /// Property tests for the interchangeable contact-scan kernels: every
 /// supported variant (scalar always; SSE2/AVX2 when built + supported) must
 /// produce *bit-identical* sorted pair streams — ids and distance doubles —
-/// for any population, radius, churn history, and shard decomposition. This
+/// for any population, radius, and churn history. This
 /// is the invariant the fig5x determinism guarantee stands on.
 
 namespace dtnic::net {
@@ -82,49 +82,6 @@ TEST_F(ScanVariantTest, RandomizedChurnBitIdenticalAcrossVariants) {
       const std::vector<Pair> got = scan_with(grid, radius, v);
       EXPECT_TRUE(bit_identical(reference, got))
           << "variant " << SpatialGrid::scan_variant_name(v) << " diverged in round " << round;
-    }
-  }
-}
-
-TEST_F(ScanVariantTest, ShardedEnumerationBitIdenticalAcrossVariants) {
-  util::Rng rng(99);
-  SpatialGrid grid(50.0);
-  for (int i = 0; i < 200; ++i) {
-    grid.insert(NodeId(static_cast<std::uint32_t>(i)),
-                {rng.uniform(-400.0, 400.0), rng.uniform(-400.0, 400.0)});
-  }
-  const std::vector<Pair> serial = scan_with(grid, 50.0, Variant::kScalar);
-  for (const Variant v : SpatialGrid::supported_scan_variants()) {
-    ASSERT_TRUE(SpatialGrid::set_scan_variant(v));
-    for (const std::uint32_t shard_count : {1u, 2u, 3u, 5u, 8u}) {
-      // The shard streams are disjoint and each sorted by (a, b); a k-way
-      // merge must reproduce the serial stream bit for bit.
-      std::vector<std::vector<Pair>> parts(shard_count);
-      SpatialGrid::SortScratch scratch;
-      for (std::uint32_t s = 0; s < shard_count; ++s) {
-        grid.pairs_within_shard(50.0, s, shard_count, parts[s], scratch);
-      }
-      std::vector<Pair> merged;
-      std::vector<std::size_t> cursor(shard_count, 0);
-      const auto key = [](const Pair& p) {
-        return (static_cast<std::uint64_t>(p.a.value()) << 32) | p.b.value();
-      };
-      for (;;) {
-        int best = -1;
-        for (std::uint32_t s = 0; s < shard_count; ++s) {
-          if (cursor[s] == parts[s].size()) continue;
-          if (best < 0 || key(parts[s][cursor[s]]) <
-                              key(parts[static_cast<std::uint32_t>(best)]
-                                       [cursor[static_cast<std::uint32_t>(best)]])) {
-            best = static_cast<int>(s);
-          }
-        }
-        if (best < 0) break;
-        merged.push_back(parts[static_cast<std::uint32_t>(best)]
-                              [cursor[static_cast<std::uint32_t>(best)]++]);
-      }
-      EXPECT_TRUE(bit_identical(serial, merged))
-          << "variant " << SpatialGrid::scan_variant_name(v) << " shards " << shard_count;
     }
   }
 }

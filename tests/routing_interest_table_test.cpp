@@ -210,8 +210,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WeightBoundsSweep,
 
 // --- Reference model -------------------------------------------------------
 // Algorithms 1-2 over a plain ordered map, written independently of the
-// dense table: one Slot per held keyword, erase-on-prune, one generation bump
-// per mutating call. The dense table must match it bit for bit.
+// dense table: one Slot per held keyword, erase-on-prune. The dense table
+// must match it bit for bit.
 
 struct RefSlot {
   double weight = 0.0;
@@ -222,7 +222,6 @@ struct RefSlot {
 struct RefTable {
   ChitChatParams params;
   std::map<std::uint32_t, RefSlot> slots;
-  std::uint64_t generation = 0;
 
   bool has(std::uint32_t k) const { return slots.count(k) > 0; }
 
@@ -231,12 +230,10 @@ struct RefTable {
     slot.direct = true;
     slot.weight = std::max(slot.weight, params.initial_weight);
     slot.last_seen = now;
-    ++generation;
   }
 
   template <class ConnectedHas>
   void decay(double now, ConnectedHas connected_has) {
-    bool changed = false;
     for (auto it = slots.begin(); it != slots.end();) {
       RefSlot& slot = it->second;
       if (connected_has(it->first)) {
@@ -245,23 +242,18 @@ struct RefTable {
         continue;
       }
       const double divisor = std::max(1.0, params.decay_beta * (now - slot.last_seen));
-      const double before = slot.weight;
       slot.weight = slot.direct ? (slot.weight - 0.5) / divisor + 0.5 : slot.weight / divisor;
-      changed = changed || slot.weight != before;
       slot.last_seen = now;
       if (!slot.direct && slot.weight < params.prune_epsilon) {
         it = slots.erase(it);
-        changed = true;
       } else {
         ++it;
       }
     }
-    if (changed) ++generation;
   }
 
   void grow_from(const RefTable& peer, double now, double contact_quantum_s) {
     const double quantum = std::min(contact_quantum_s, params.growth_contact_cap_s);
-    bool changed = false;
     for (const auto& [k, peer_slot] : peer.slots) {
       if (peer_slot.weight <= 0.0) continue;
       const auto it = slots.find(k);
@@ -279,12 +271,9 @@ struct RefTable {
           params.growth_rate * peer_slot.weight * quantum / static_cast<double>(psi);
       if (delta <= 0.0) continue;
       RefSlot& slot = slots[k];
-      const double before = slot.weight;
       slot.weight = std::min(params.max_weight, slot.weight + delta);
       slot.last_seen = now;
-      changed = changed || !self_has || slot.weight != before;
     }
-    if (changed) ++generation;
   }
 
   void note_seen(std::uint32_t k, double now) {
@@ -293,18 +282,16 @@ struct RefTable {
 
   void restore(std::uint32_t k, double weight, bool direct, double now) {
     slots[k] = RefSlot{weight, direct, now};
-    ++generation;
   }
 };
 
 std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-/// Bit-equal state: entries, size, generation, and every point query over
+/// Bit-equal state: entries, size, and every point query over
 /// ids inside and beyond the table's width.
 void expect_matches(const InterestTable& t, const RefTable& ref, int step) {
   SCOPED_TRACE(::testing::Message() << "step " << step);
   ASSERT_EQ(t.size(), ref.slots.size());
-  ASSERT_EQ(t.generation(), ref.generation);
   const auto entries = t.entries();
   ASSERT_EQ(entries.size(), ref.slots.size());
   auto it = ref.slots.begin();
@@ -346,7 +333,7 @@ TEST_P(ReferenceModel, DenseTableMatchesMapModelBitForBit) {
   std::vector<RefTable> refs;
   for (std::size_t width : widths) {
     tables.emplace_back(p, width);
-    refs.push_back(RefTable{p, {}, 0});
+    refs.push_back(RefTable{p, {}});
   }
 
   // Word boundaries and the last pool id are drawn far more often than
@@ -370,7 +357,7 @@ TEST_P(ReferenceModel, DenseTableMatchesMapModelBitForBit) {
       // Restart a table at its original width so narrow and wide tables keep
       // meeting after growth has widened them.
       tables[i] = InterestTable(p, widths[i]);
-      refs[i] = RefTable{p, {}, 0};
+      refs[i] = RefTable{p, {}};
     }
     InterestTable& table = tables[i];
     RefTable& ref = refs[i];
@@ -464,13 +451,11 @@ TEST(InterestTable, ClearDropsSlotsAndKeepsCapacity) {
   InterestTable t(fast_params(), 100);
   t.add_direct(KeywordId(3), SimTime::zero());
   t.restore(KeywordId(70), 0.4, false, SimTime::zero());
-  const std::uint64_t before = t.generation();
   t.clear();
   EXPECT_EQ(t.size(), 0u);
   EXPECT_FALSE(t.has(KeywordId(3)));
   EXPECT_EQ(t.weight(KeywordId(70)), 0.0);
   EXPECT_EQ(t.capacity(), 100u);
-  EXPECT_GT(t.generation(), before);
 }
 
 }  // namespace

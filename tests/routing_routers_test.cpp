@@ -336,7 +336,7 @@ TEST_F(ChitChatFixture, DuplicateSuppressedByPlanAndAccept) {
   w.link_up(src, dest, kT0);
   EXPECT_EQ(w.exchange(src, dest, kT0), 1);
   // plan() now excludes the message (peer has seen it)...
-  EXPECT_TRUE(src.router().plan(src, dest, kT0).empty());
+  EXPECT_TRUE(test::plan_of(src, dest, kT0).empty());
   // ...and even a direct offer is refused as a duplicate.
   const ForwardPlan offer{id, TransferRole::kDestination};
   EXPECT_EQ(dest.router().accept(dest, src, *src.buffer().find(id), offer, kT0),

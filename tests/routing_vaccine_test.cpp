@@ -69,7 +69,7 @@ TEST_F(VaccineFixture, AntipacketSpreadsAndPurges) {
   EXPECT_TRUE(VaccineEpidemicRouter::of(carrier)->immune_to(id));
 
   // ...and the carrier now refuses fresh copies and never re-offers.
-  EXPECT_TRUE(carrier.router().plan(carrier, dest, SimTime::seconds(10)).empty());
+  EXPECT_TRUE(test::plan_of(carrier, dest, SimTime::seconds(10)).empty());
   const ForwardPlan offer{id, TransferRole::kRelay};
   EXPECT_EQ(carrier.router().accept(carrier, src, *src.buffer().find(id), offer,
                                     SimTime::seconds(10)),
@@ -87,8 +87,8 @@ TEST_F(VaccineFixture, ImmunePeerIsNotOffered) {
   // destinations), but it must not offer the message to the immune dest.
   (void)id;
   w.link_up(src, other, SimTime::seconds(5));
-  EXPECT_EQ(src.router().plan(src, other, SimTime::seconds(5)).size(), 1u);
-  EXPECT_TRUE(src.router().plan(src, dest, SimTime::seconds(5)).empty());
+  EXPECT_EQ(test::plan_of(src, other, SimTime::seconds(5)).size(), 1u);
+  EXPECT_TRUE(test::plan_of(src, dest, SimTime::seconds(5)).empty());
 }
 
 TEST(VaccineScenario, CutsTrafficVersusPlainEpidemic) {

@@ -101,16 +101,6 @@ TEST(ConfigIo, ProgrammaticSetHasNoLineNumber) {
   }
 }
 
-TEST(ConfigIo, ShardThreadsRoundTripsAndValidates) {
-  const auto kv = util::Config::parse("shard_threads = 4\n");
-  const ScenarioConfig cfg = apply_config(ScenarioConfig::paper_defaults(), kv);
-  EXPECT_EQ(cfg.shard_threads, 4u);
-  EXPECT_NE(to_config_text(cfg).find("shard_threads = 4"), std::string::npos);
-  EXPECT_THROW((void)apply_config(ScenarioConfig::paper_defaults(),
-                                  util::Config::parse("shard_threads = 300\n")),
-               std::invalid_argument);
-}
-
 TEST(ConfigIo, RoundTripsExactly) {
   ScenarioConfig cfg = ScenarioConfig::scaled_defaults(77, 3.5);
   cfg.scheme = Scheme::kSprayAndWait;

@@ -199,6 +199,62 @@ TEST(Scenario, HostAccessorsAndBehaviors) {
   EXPECT_THROW((void)s.host(util::NodeId(999)), std::invalid_argument);
 }
 
+TEST(ScenarioExchange, PerLinkBookkeepingDoesNotLeakUnderChurn) {
+  ScenarioConfig cfg = ScenarioConfig::scaled_defaults(40, 0.5);
+  cfg.scheme = Scheme::kIncentive;
+  cfg.max_speed_mps = 8.0;
+  Scenario s(cfg);
+  const RunResult result = s.run();
+  // The run must have churned through far more contacts than links that are
+  // still up at the end — otherwise this probes nothing.
+  const std::size_t live_links = s.transfers().links_tracked();
+  ASSERT_GT(result.contacts, live_links + 50);
+  // Leak probe (companion of the TransferManager links_tracked checks):
+  // toggle / refused / idle-memo entries are erased on link-down, so at most
+  // one entry per map can exist per live link.
+  EXPECT_LE(s.exchange_state_tracked(), 3 * live_links);
+}
+
+/// The Fig. 5.4 sampler against the definition it implements: the mean
+/// rating of every malicious node, over every non-malicious incentive router
+/// that knows it, summed rater by rater in host order.
+double brute_force_malicious_rating(Scenario& s) {
+  double sum = 0.0;
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < s.node_count(); ++i) {
+    const routing::NodeId rater(static_cast<std::uint32_t>(i));
+    if (s.behavior_of(rater).malicious()) continue;
+    const core::IncentiveRouter* router = core::IncentiveRouter::of(s.host(rater));
+    if (router == nullptr) continue;
+    for (std::size_t j = 0; j < s.node_count(); ++j) {
+      const routing::NodeId mal(static_cast<std::uint32_t>(j));
+      if (!s.behavior_of(mal).malicious() || !router->ratings().knows(mal)) continue;
+      sum += router->ratings().rating_of(mal);
+      ++count;
+    }
+  }
+  return count == 0 ? s.config().drm.default_rating : sum / static_cast<double>(count);
+}
+
+TEST(Scenario, MaliciousRatingMatchesBruteForce) {
+  for (const double fraction : {0.0, 0.1, 0.5}) {
+    ScenarioConfig cfg = ScenarioConfig::scaled_defaults(40, 1.0);
+    cfg.malicious_fraction = fraction;
+    Scenario s(cfg);
+    EXPECT_EQ(s.current_malicious_rating(), brute_force_malicious_rating(s));
+    (void)s.run();
+    EXPECT_EQ(s.current_malicious_rating(), brute_force_malicious_rating(s))
+        << "malicious_fraction " << fraction;
+    // With malicious nodes present the run must have formed opinions, so the
+    // comparison covers the summation, not just the default fallback.
+    if (fraction == 0.0) {
+      EXPECT_EQ(s.current_malicious_rating(), cfg.drm.default_rating);
+    } else {
+      EXPECT_NE(s.current_malicious_rating(), cfg.drm.default_rating);
+    }
+  }
+}
+
 TEST(Scenario, EnergyAccountingPositive) {
   const RunResult r = ExperimentRunner::run_once(small(Scheme::kIncentive, 29));
   EXPECT_GT(r.total_energy_j, 0.0);

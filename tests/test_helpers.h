@@ -50,6 +50,15 @@ class MessageFactory {
   msg::MessageIdSource ids_;
 };
 
+/// \p self's current transfer wishlist toward \p peer (Router::plan_into
+/// into a fresh vector).
+inline std::vector<routing::ForwardPlan> plan_of(routing::Host& self, routing::Host& peer,
+                                                 util::SimTime now) {
+  std::vector<routing::ForwardPlan> plans;
+  self.router().plan_into(self, peer, now, plans);
+  return plans;
+}
+
 /// Records every routing event for assertion.
 class EventRecorder : public routing::RoutingEvents {
  public:
@@ -126,7 +135,7 @@ class MicroWorld {
   /// honored); returns the number of messages that arrived at b.
   int exchange(routing::Host& a, routing::Host& b, util::SimTime now) {
     int arrived = 0;
-    for (const routing::ForwardPlan& plan : a.router().plan(a, b, now)) {
+    for (const routing::ForwardPlan& plan : plan_of(a, b, now)) {
       const msg::Message* m = a.buffer().find(plan.message);
       if (m == nullptr) continue;
       const auto decision = b.router().accept(b, a, *m, plan, now);

@@ -39,47 +39,6 @@ TEST(ThreadPool, PropagatesTaskExceptions) {
   EXPECT_THROW(boom.get(), std::runtime_error);
 }
 
-TEST(ThreadPool, CoRunRunsEveryTaskExactlyOnce) {
-  ThreadPool pool(3);
-  for (const std::size_t tasks : {1u, 2u, 4u, 17u}) {
-    std::vector<std::atomic<int>> runs(tasks);
-    pool.co_run(tasks, [&runs](std::size_t i) {
-      runs[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < tasks; ++i) EXPECT_EQ(runs[i].load(), 1) << "task " << i;
-  }
-}
-
-TEST(ThreadPool, CoRunRethrowsLowestIndexException) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  try {
-    pool.co_run(6, [&ran](std::size_t i) {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      if (i == 4) throw std::runtime_error("task 4");
-      if (i == 2) throw std::runtime_error("task 2");
-    });
-    FAIL() << "co_run swallowed the task exceptions";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "task 2");
-  }
-  EXPECT_EQ(ran.load(), 6);  // a throwing task never cancels the others
-}
-
-TEST(ThreadPool, CoRunCallerRunsTasksNoWorkerStarted) {
-  // The only worker is stuck in an unrelated task, so every co_run task
-  // must run on the calling thread rather than wait for the worker.
-  ThreadPool pool(1);
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  auto blocker = pool.submit([released] { released.wait(); });
-  std::vector<std::thread::id> ran_on(4);
-  pool.co_run(4, [&ran_on](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
-  for (const std::thread::id id : ran_on) EXPECT_EQ(id, std::this_thread::get_id());
-  release.set_value();
-  blocker.get();
-}
-
 TEST(ThreadPool, DrainsQueueOnShutdown) {
   std::atomic<int> executed{0};
   std::vector<std::future<void>> futures;
