@@ -571,17 +571,6 @@ void write_contact_scan_json() {
     const int iterations = fast ? 20 : (c.nodes >= 2000 ? 500 : 2000);
     row(c.kernel, c.nodes, iterations, time_scan_kernel(c.incremental, c.nodes, iterations));
   }
-  // Per-variant rows for the moving scan at paper scale. Only variants the
-  // host CPU supports appear, so regression comparison must intersect rows
-  // on (kernel, nodes) rather than expect a fixed set.
-  const auto saved_variant = net::SpatialGrid::scan_variant();
-  for (const auto v : net::SpatialGrid::supported_scan_variants()) {
-    (void)net::SpatialGrid::set_scan_variant(v);
-    const int iterations = fast ? 20 : 500;
-    row(std::string("scan_incremental_") + net::SpatialGrid::scan_variant_name(v), 2000,
-        iterations, time_scan_kernel(true, 2000, iterations));
-  }
-  (void)net::SpatialGrid::set_scan_variant(saved_variant);
   os << "\n  ]\n}\n";
   std::cout << "wrote " << path << "\n";
 }
@@ -593,8 +582,8 @@ struct EventQueueSample {
   std::uint64_t ops = 0;
 };
 
-/// Fill-then-drain with uniformly random times (the heap's worst case; the
-/// wheel pays one bucket sort per distinct tick instead of log n per op).
+/// Fill-then-drain with uniformly random times: every pop sifts through a
+/// heap of the full size.
 EventQueueSample time_eventq_push_pop(int events, int iterations) {
   util::Rng rng(2);
   std::uint64_t ops = 0;
@@ -656,8 +645,8 @@ EventQueueSample time_eventq_cancel_churn(int events, int iterations) {
 }
 
 /// Steady-state simulator shape: a working set of periodic events that
-/// re-arm themselves on fire (contact scans, battery drains, samplers). The
-/// wheel serves this from the same few slots over and over.
+/// re-arm themselves on fire (contact scans, battery drains, samplers): a
+/// fixed-size heap whose slab records are recycled on every re-arm.
 EventQueueSample time_eventq_periodic(int events, int iterations) {
   util::Rng rng(12);
   sim::EventQueue q;
@@ -686,8 +675,8 @@ EventQueueSample time_eventq_periodic(int events, int iterations) {
   return sample;
 }
 
-/// Emit BENCH_event_queue.json: machine-readable summary of the timing-wheel
-/// event queue kernels. Controlled by DTNIC_BENCH_JSON_EVENTQ (output path;
+/// Emit BENCH_event_queue.json: machine-readable summary of the event queue
+/// kernels. Controlled by DTNIC_BENCH_JSON_EVENTQ (output path;
 /// default alongside the binary) and DTNIC_BENCH_JSON_FAST (smoke scale).
 void write_event_queue_json() {
   const char* path_env = std::getenv("DTNIC_BENCH_JSON_EVENTQ");

@@ -7,9 +7,9 @@
 #         -P cmake/compare_bench_json.cmake
 #
 # Rows are matched by the MATCH_KEYS tuple (default kernel,nodes). Only the
-# intersection is compared: rows present in just one file — e.g. the
-# scan-variant rows, which depend on what the host CPU supports — are
-# reported and skipped, never failed. A matched row fails when its metric
+# intersection is compared: rows present in just one file — e.g. a kernel
+# added or retired since the baseline was pinned — are reported and skipped,
+# never failed. A matched row fails when its metric
 # exceeds baseline * (1 + TOLERANCE_PERCENT/100). Lower-than-baseline values
 # never fail; improvements are reported so baselines can be re-pinned.
 #

@@ -116,8 +116,8 @@ class IncentiveRouter final : public routing::ChitChatRouter {
   RatingStore ratings_;
   Enricher enricher_;
   /// Distance to each currently connected peer; inserted on link-up, erased
-  /// on link-down — per-contact node churn, so arena-pooled.
-  util::arena::PooledMap<routing::NodeId, double> contact_distance_;
+  /// on link-down.
+  std::unordered_map<routing::NodeId, double> contact_distance_;
   /// plan_into scratch (reused across contacts; steady-state allocation-free).
   PromiseContext promise_ctx_;
   std::vector<KeyedPlan> keyed_scratch_;

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "msg/message.h"
-#include "util/arena.h"
 #include "util/ids.h"
 #include "util/rng.h"
 
@@ -78,7 +77,7 @@ class RatingStore {
   };
 
   DrmParams params_;
-  util::arena::PooledMap<NodeId, Record> records_;
+  std::unordered_map<NodeId, Record> records_;
 };
 
 /// The simulated user's post-reception judgement of a message (§3.3 and

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "msg/message.h"
-#include "util/arena.h"
 
 /// \file buffer.h
 /// Per-node bounded message store (Table 5.1: 250 MB per node). Insertion
@@ -91,16 +90,8 @@ class MessageBuffer {
     bool own = false;
   };
 
-  /// Node storage goes through the arena pool: a buffer add/remove in steady
-  /// state is then a free-list pop/push instead of a heap round trip, and a
-  /// node's list node + index node recycle across the whole scenario. (The
-  /// index's bucket *array* still comes from operator new — it grows
-  /// amortized and stabilizes, unlike the per-message nodes.)
-  using SlotList = std::list<Slot, util::arena::PoolAllocator<Slot>>;
-  using SlotIndex =
-      std::unordered_map<MessageId, SlotList::iterator, std::hash<MessageId>,
-                         std::equal_to<MessageId>,
-                         util::arena::PoolAllocator<std::pair<const MessageId, SlotList::iterator>>>;
+  using SlotList = std::list<Slot>;
+  using SlotIndex = std::unordered_map<MessageId, SlotList::iterator>;
 
   /// The next eviction victim under the configured policy, or end().
   SlotList::iterator pick_victim();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/arena.h"
 #include "util/assert.h"
 
 namespace dtnic::msg {
@@ -23,14 +22,10 @@ const Message::Core& Message::core() const {
 }
 
 Message::Core& Message::mutable_core() {
-  // Cores are the highest-churn heap objects in a run (every COW mutation
-  // and every origination makes one); allocate_shared through the arena pool
-  // puts object + control block in one recycled block.
   if (!core_) {
-    core_ = std::allocate_shared<Core>(util::arena::PoolAllocator<Core>{});
+    core_ = std::make_shared<Core>();
   } else if (core_.use_count() > 1) {
-    core_ = std::allocate_shared<Core>(util::arena::PoolAllocator<Core>{},
-                                       *core_);  // copy-on-write
+    core_ = std::make_shared<Core>(*core_);  // copy-on-write
   }
   // The only live reference is ours; shedding const is safe.
   return const_cast<Core&>(*core_);
@@ -42,7 +37,7 @@ Message::Message(MessageId id, NodeId source, SimTime created_at, std::uint64_t 
   DTNIC_REQUIRE_MSG(source.valid(), "message source must be valid");
   DTNIC_REQUIRE_MSG(size_bytes > 0, "message size must be positive");
   DTNIC_REQUIRE_MSG(quality >= 0.0 && quality <= 1.0, "quality must be in [0,1]");
-  auto core = std::allocate_shared<Core>(util::arena::PoolAllocator<Core>{});
+  auto core = std::make_shared<Core>();
   core->id = id;
   core->source = source;
   core->created_at = created_at;

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/assert.h"
+#include "util/num_format.h"
 #include "util/string_util.h"
 
 namespace dtnic::net {
@@ -105,26 +106,37 @@ std::vector<ContactEvent> ScriptedConnectivity::parse(std::istream& in) {
     }
     const std::string entry = util::trim(line);
     if (entry.empty()) continue;
+    const auto fail = [line_no](const std::string& why) {
+      throw std::invalid_argument("trace line " + std::to_string(line_no) + ": " + why);
+    };
     std::istringstream fields(entry);
-    double up_s = 0.0;
-    double down_s = 0.0;
-    long long a = 0;
-    long long b = 0;
-    if (!(fields >> up_s >> down_s >> a >> b) || a < 0 || b < 0) {
-      throw std::invalid_argument("trace line " + std::to_string(line_no) +
-                                  ": expected 'up_s down_s node_a node_b [distance_m]'");
+    std::vector<std::string> tokens;
+    for (std::string token; fields >> token;) tokens.push_back(std::move(token));
+    if (tokens.size() != 4 && tokens.size() != 5) {
+      fail("expected 'up_s down_s node_a node_b [distance_m]'");
     }
     ContactEvent e;
-    e.up = SimTime::seconds(up_s);
-    e.down = SimTime::seconds(down_s);
-    e.a = NodeId(static_cast<NodeId::underlying>(a));
-    e.b = NodeId(static_cast<NodeId::underlying>(b));
-    double distance = 0.0;
-    if (fields >> distance) e.distance_m = distance;
-    if (e.up >= e.down) {
-      throw std::invalid_argument("trace line " + std::to_string(line_no) +
-                                  ": contact must end after it begins");
+    long long ids[2] = {0, 0};
+    try {
+      e.up = SimTime::seconds(util::parse_double(tokens[0]));
+      e.down = SimTime::seconds(util::parse_double(tokens[1]));
+      ids[0] = util::parse_int(tokens[2]);
+      ids[1] = util::parse_int(tokens[3]);
+      if (tokens.size() == 5) e.distance_m = util::parse_double(tokens[4]);
+    } catch (const std::invalid_argument& err) {
+      fail(err.what());
     }
+    for (const long long id : ids) {
+      // kInvalid is the "no node" sentinel, so the largest usable id is one
+      // below it; anything wider would wrap when narrowed.
+      if (id < 0 || id >= static_cast<long long>(NodeId::kInvalid)) {
+        fail("node id out of range: " + std::to_string(id));
+      }
+    }
+    e.a = NodeId(static_cast<NodeId::underlying>(ids[0]));
+    e.b = NodeId(static_cast<NodeId::underlying>(ids[1]));
+    if (!(e.distance_m >= 0.0)) fail("distance must be non-negative");
+    if (!(e.up < e.down)) fail("contact must end after it begins");  // NaN fails too
     events.push_back(e);
   }
   return events;
@@ -138,10 +150,22 @@ std::vector<ContactEvent> ScriptedConnectivity::load_file(const std::string& pat
 
 void ScriptedConnectivity::serialize(std::ostream& os,
                                      const std::vector<ContactEvent>& events) {
-  os << "# up_s down_s node_a node_b distance_m\n";
+  // Shortest round-trip doubles, so parse(serialize(x)) reproduces every
+  // time and distance exactly.
+  std::string line = "# up_s down_s node_a node_b distance_m\n";
   for (const ContactEvent& e : events) {
-    os << e.up.sec() << " " << e.down.sec() << " " << e.a.value() << " " << e.b.value()
-       << " " << e.distance_m << "\n";
+    util::append_double(line, e.up.sec());
+    line += ' ';
+    util::append_double(line, e.down.sec());
+    line += ' ';
+    util::append_u64(line, e.a.value());
+    line += ' ';
+    util::append_u64(line, e.b.value());
+    line += ' ';
+    util::append_double(line, e.distance_m);
+    line += '\n';
+    os << line;
+    line.clear();
   }
 }
 

@@ -57,7 +57,10 @@ class ScriptedConnectivity final : public ContactSource {
   /// --- trace text format ---------------------------------------------------
   /// One event per line: `up_s down_s node_a node_b [distance_m]`,
   /// `#` comments. parse() throws std::invalid_argument with a line number
-  /// on malformed input.
+  /// on malformed input: a missing, unparseable or extra field, a node id
+  /// outside [0, NodeId::kInvalid), a negative distance, or up >= down.
+  /// serialize() writes shortest round-trip doubles, so parse(serialize(x))
+  /// reproduces x exactly.
   [[nodiscard]] static std::vector<ContactEvent> parse(std::istream& in);
   [[nodiscard]] static std::vector<ContactEvent> load_file(const std::string& path);
   static void serialize(std::ostream& os, const std::vector<ContactEvent>& events);

@@ -1,10 +1,7 @@
 #include "net/spatial_grid.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "util/assert.h"
 
@@ -16,83 +13,7 @@ namespace {
   return (static_cast<std::uint64_t>(p.a.value()) << 32) | p.b.value();
 }
 
-using Variant = SpatialGrid::ScanVariant;
-
-[[nodiscard]] bool variant_supported(Variant v) {
-  switch (v) {
-    case Variant::kScalar:
-      return true;
-#ifdef DTNIC_SIMD_X86
-    case Variant::kSse2:
-      return true;  // baseline x86-64
-    case Variant::kAvx2:
-      return __builtin_cpu_supports("avx2");
-#else
-    case Variant::kSse2:
-    case Variant::kAvx2:
-      return false;
-#endif
-  }
-  return false;
-}
-
-[[nodiscard]] Variant best_supported() {
-  if (variant_supported(Variant::kAvx2)) return Variant::kAvx2;
-  if (variant_supported(Variant::kSse2)) return Variant::kSse2;
-  return Variant::kScalar;
-}
-
-/// Process-wide active variant; -1 until first resolved. Resolution honors
-/// DTNIC_SCAN_VARIANT (scalar|sse2|avx2|auto) and falls back to the best
-/// supported kernel on unknown or unsupported values.
-std::atomic<int> g_scan_variant{-1};
-
-[[nodiscard]] Variant resolve_variant() {
-  int v = g_scan_variant.load(std::memory_order_relaxed);
-  if (v >= 0) return static_cast<Variant>(v);
-  Variant chosen = best_supported();
-  if (const char* env = std::getenv("DTNIC_SCAN_VARIANT")) {
-    Variant wanted = chosen;
-    if (std::strcmp(env, "scalar") == 0) wanted = Variant::kScalar;
-    else if (std::strcmp(env, "sse2") == 0) wanted = Variant::kSse2;
-    else if (std::strcmp(env, "avx2") == 0) wanted = Variant::kAvx2;
-    if (variant_supported(wanted)) chosen = wanted;
-  }
-  g_scan_variant.store(static_cast<int>(chosen), std::memory_order_relaxed);
-  return chosen;
-}
-
 }  // namespace
-
-const SpatialGrid::ScanBlock SpatialGrid::kEmptyBlock{};
-
-SpatialGrid::ScanVariant SpatialGrid::scan_variant() { return resolve_variant(); }
-
-bool SpatialGrid::set_scan_variant(ScanVariant v) {
-  if (!variant_supported(v)) return false;
-  g_scan_variant.store(static_cast<int>(v), std::memory_order_relaxed);
-  return true;
-}
-
-const char* SpatialGrid::scan_variant_name(ScanVariant v) {
-  switch (v) {
-    case ScanVariant::kScalar:
-      return "scalar";
-    case ScanVariant::kSse2:
-      return "sse2";
-    case ScanVariant::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-std::vector<SpatialGrid::ScanVariant> SpatialGrid::supported_scan_variants() {
-  std::vector<ScanVariant> out;
-  for (const Variant v : {Variant::kScalar, Variant::kSse2, Variant::kAvx2}) {
-    if (variant_supported(v)) out.push_back(v);
-  }
-  return out;
-}
 
 SpatialGrid::SpatialGrid(double cell_size)
     : cell_size_(cell_size), inv_cell_size_(1.0 / cell_size) {
@@ -114,13 +35,11 @@ void SpatialGrid::clear() {
   max_id_ = 0;
 }
 
-/// Sort pairs by (a, b) and finalize distances. The kernels emit d² (a sqrt
-/// per emission would serialize their decode path through the unpipelined
-/// divider); the √ happens here, folded into the scatter pass so it rides
-/// along with stores the sort performs anyway instead of costing a separate
-/// read-modify-write sweep of the whole pair vector. Every kernel variant
-/// funnels through this one scalar std::sqrt, so distances are bit-identical
-/// across variants by construction.
+/// Sort pairs by (a, b) and finalize distances. The kernel emits d² and the
+/// √ happens here, folded into the scatter pass so it rides along with
+/// stores the sort performs anyway: only the pairs that survive the radius
+/// test pay for a square root, and no separate sweep of the pair vector is
+/// needed.
 ///
 /// Simulations use small dense node ids, so the common case is one
 /// id-indexed counting pass (the bucket array stays L1-resident) followed by
@@ -331,23 +250,10 @@ void SpatialGrid::pairs_within(double radius, std::vector<Pair>& out) const {
   const double r2 = radius * radius;
   const ScanView view{blocks_.data(), counts_.data(), links_.data(), ids_.data(),
                       pool_.data(),   pool_.size(),   xs_.data(),    ys_.data()};
-  switch (resolve_variant()) {
-#ifdef DTNIC_SIMD_X86
-    case Variant::kAvx2:
-      scan_kernel_avx2(view, r2, out);
-      break;
-    case Variant::kSse2:
-      scan_kernel_sse2(view, r2, out);
-      break;
-#endif
-    default:
-      scan_kernel_scalar(view, r2, out);
-      break;
-  }
-  // Pool order leaks into the emission order (and the SIMD kernels emit in a
-  // different within-cell order than the scalar one); sorting by (a, b)
-  // makes the output — and every event sequence derived from it —
-  // independent of layout, churn history, and kernel choice.
+  scan_kernel_scalar(view, r2, out);
+  // Pool order leaks into the emission order; sorting by (a, b) makes the
+  // output — and every event sequence derived from it — independent of
+  // layout and churn history.
   sort_pairs(out);
 }
 

@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/arena.h"
 #include "util/ids.h"
 #include "util/vec2.h"
 
@@ -22,19 +21,16 @@
 /// owns x[4] / y[4] coordinate lanes, padded with +inf past the live count,
 /// in a one-cache-line ScanBlock mirror array separate from the cold
 /// bookkeeping (ids, links, and counts live in small dense side arrays). A
-/// pair scan therefore loads whole lanes with one (vector) load and tests
-/// distances branchlessly — the inf padding guarantees dead lanes never
-/// pass the radius test, so no per-lane count check exists on the hot path
-/// — and probing a neighbor cell costs exactly one cache line.
+/// pair scan therefore reads a cell's lanes from one cache line — the inf
+/// padding guarantees dead lanes never pass the radius test — and probing a
+/// neighbor cell costs exactly one line.
 /// Neighbor links are pool indices, kept as a reciprocal half/rev pair so
 /// creating or pruning a cell patches its neighborhood without hash lookups.
 ///
-/// The inner distance loop is compiled as interchangeable kernels (scalar
-/// always; SSE2/AVX2 under the DTNIC_SIMD build option) selected at runtime.
-/// All kernels compute the identical IEEE expression (sub, mul, mul, add —
-/// fused contraction disabled) over the identical values and emit the same
-/// pair *set*; the (a, b) sort then canonicalizes emission order, so every
-/// variant produces bit-identical output.
+/// The distance test is one scalar kernel in its own TU, compiled without
+/// FP contraction so d² is the exact IEEE (sub, sub, mul, mul, add) sequence
+/// on every compiler and target; the (a, b) sort then canonicalizes the
+/// emission order.
 
 namespace dtnic::net {
 
@@ -85,21 +81,6 @@ class SpatialGrid {
   /// Convenience wrapper for tests and one-shot callers.
   [[nodiscard]] std::vector<Pair> pairs_within(double radius) const;
 
-  /// Distance-kernel variants. kScalar is always available; kSse2/kAvx2
-  /// exist when built with DTNIC_SIMD on x86-64 and the CPU supports them.
-  /// All variants produce bit-identical `pairs_within` output (same IEEE
-  /// arithmetic, same pair set, canonical sort) — asserted by tests, relied
-  /// on by the fig5x determinism guarantee.
-  enum class ScanVariant : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
-  /// Active process-wide variant (default: best supported, overridable via
-  /// the DTNIC_SCAN_VARIANT environment variable: scalar|sse2|avx2|auto).
-  [[nodiscard]] static ScanVariant scan_variant();
-  /// Select a variant; returns false (and changes nothing) if unsupported.
-  static bool set_scan_variant(ScanVariant v);
-  [[nodiscard]] static const char* scan_variant_name(ScanVariant v);
-  /// Variants usable on this build + CPU, in {scalar, sse2, avx2} order.
-  [[nodiscard]] static std::vector<ScanVariant> supported_scan_variants();
-
  private:
   /// Overflow entries (beyond the inline lanes) store only the id and the
   /// slot back-pointer; their positions are read from the dense xs_/ys_
@@ -113,7 +94,7 @@ class SpatialGrid {
   /// Entries stored inside the cell itself, one SoA lane each.
   static constexpr std::uint32_t kInline = 4;
   /// Dead-lane fill: +inf makes the distance test fail for any finite query
-  /// point, so kernels never consult `count` per lane.
+  /// point, so a dead lane can never produce a pair.
   static constexpr double kLaneEmpty = std::numeric_limits<double>::infinity();
 
   /// Half of the 8-neighborhood; visiting only these from every cell covers
@@ -124,8 +105,8 @@ class SpatialGrid {
   /// x/y lanes the distance test reads, so probing a cell — own or neighbor
   /// — is a single line touch. Everything else the sweep consults lives in
   /// small dense side arrays (counts_, links_, ids_) that stay L1-resident
-  /// at simulation scale; the scan kernels never read the Cell structs
-  /// except through the overflow fallback.
+  /// at simulation scale; the scan reads the Cell structs only for
+  /// overflow entries.
   /// Lane invariant: x[j]/y[j] mirror xs_/ys_ of the j-th entry for
   /// j < min(count, kInline) and hold +inf for dead lanes, including while
   /// the cell sits on the free list.
@@ -136,8 +117,7 @@ class SpatialGrid {
   static_assert(sizeof(ScanBlock) == 64, "ScanBlock must be one cache line");
 
   /// Dense per-cell neighborhood links, parallel to pool_.
-  /// Kept out of ScanBlock so the kernels' segment gather — which must
-  /// resolve links *before* any distance math can start — reads a compact
+  /// Kept out of ScanBlock so resolving a cell's neighbors reads a compact
   /// sequential array instead of a second cache line per cell.
   struct CellLinks {
     /// Pool index of the half-neighborhood cell in direction kHalf[k];
@@ -145,9 +125,9 @@ class SpatialGrid {
     std::int32_t half[4] = {-1, -1, -1, -1};
   };
 
-  /// Cold per-cell bookkeeping (membership maintenance only; scans never
-  /// read it except through the overflow fallback). The entry count lives
-  /// in the dense counts_ array, the hot lanes in the ScanBlock mirror.
+  /// Cold per-cell bookkeeping (membership maintenance only; scans read it
+  /// only for overflow entries). The entry count lives in the dense counts_
+  /// array, the hot lanes in the ScanBlock mirror.
   struct Cell {
     std::uint32_t slot[kInline] = {0, 0, 0, 0};  ///< back-pointers
     /// Pool index of the cell that has *this* as its kHalf[k] neighbor;
@@ -156,10 +136,8 @@ class SpatialGrid {
     std::int32_t rev[4] = {-1, -1, -1, -1};
     std::int32_t cx = 0;
     std::int32_t cy = 0;
-    /// Entries [kInline, count). Arena-backed: the first spill of a fresh
-    /// pool cell would otherwise be a tiny heap allocation that recurs until
-    /// every pool slot has grown capacity once.
-    std::vector<Entry, util::arena::PoolAllocator<Entry>> overflow;
+    /// Entries [kInline, count).
+    std::vector<Entry> overflow;
   };
 
   struct Slot {
@@ -174,10 +152,10 @@ class SpatialGrid {
     std::int32_t cy = 0;
   };
 
-  /// Read-only view the kernels operate on: the hot mirror array, the dense
+  /// Read-only view the kernel operates on: the hot mirror array, the dense
   /// per-cell entry counts (counts[c] == 0 marks pooled-but-free cells),
   /// neighborhood links, inline-lane ids (ids[c * kInline + lane], read
-  /// only on a hit), the cold pool (overflow fallback only), and the
+  /// only on a hit), the cold pool (overflow entries only), and the
   /// slot-indexed coordinates.
   struct ScanView {
     const ScanBlock* blocks;
@@ -190,20 +168,9 @@ class SpatialGrid {
     const double* ys;
   };
 
-  /// Shared signature of the interchangeable distance kernels. Kernels
-  /// append unsorted pairs; the caller sorts.
-  using ScanKernelFn = void (*)(const ScanView& view, double r2, std::vector<Pair>& out);
+  /// The distance kernel: appends every pair within sqrt(\p r2), unsorted
+  /// and carrying d²; the caller sorts and takes the square roots.
   static void scan_kernel_scalar(const ScanView& view, double r2, std::vector<Pair>& out);
-  /// One cell's emission (interior + half-neighborhood), scalar arithmetic.
-  /// Also the SIMD kernels' fallback for cells touching overflow entries.
-  static void scan_cell_scalar(const ScanView& view, std::uint32_t c, double r2,
-                               std::vector<Pair>& out);
-#ifdef DTNIC_SIMD_X86
-  static void scan_kernel_sse2(const ScanView& view, double r2, std::vector<Pair>& out);
-  static void scan_kernel_avx2(const ScanView& view, double r2, std::vector<Pair>& out);
-#endif
-  /// All-dead-lanes block the SIMD kernels use to pad odd segment counts.
-  static const ScanBlock kEmptyBlock;
 
   /// Packs two sign-preserved 32-bit cell coordinates into one key; unlike
   /// the old `(cx << 24) ^ cy` scheme this cannot alias distant cells or
@@ -233,7 +200,7 @@ class SpatialGrid {
   std::vector<Cell> pool_;
   /// Hot mirror and entry counts, parallel to pool_. counts_ is the single
   /// source of truth for per-cell occupancy; at ~2000 cells it is an
-  /// L1-resident 8 KiB array, so the kernels' empty-cell skip and overflow
+  /// L1-resident 8 KiB array, so the kernel's empty-cell skip and overflow
   /// detection never touch cell memory at all.
   std::vector<ScanBlock> blocks_;
   std::vector<std::uint32_t> counts_;
@@ -244,15 +211,13 @@ class SpatialGrid {
   /// keeping them out of ScanBlock halves the sweep's line footprint.
   std::vector<std::uint32_t> ids_;
   std::vector<std::uint32_t> free_cells_;
-  /// Hash-map *nodes* come from the arena pool so steady-state cell churn
-  /// (create on entry, prune on exit) recycles instead of hitting the heap.
-  util::arena::PooledMap<std::uint64_t, std::uint32_t> cell_index_;
+  std::unordered_map<std::uint64_t, std::uint32_t> cell_index_;
   std::vector<Slot> slots_;
   /// Slot-indexed positions, split into separate coordinate arrays so the
-  /// position refresh and the overflow fallback stream plain double lanes.
+  /// position refresh and overflow reads stream plain double lanes.
   std::vector<double> xs_;
   std::vector<double> ys_;
-  util::arena::PooledMap<util::NodeId, std::uint32_t> slot_of_;
+  std::unordered_map<util::NodeId, std::uint32_t> slot_of_;
   /// Sort double buffer and per-id bucket offsets, kept across scans so the
   /// steady state does not allocate.
   mutable std::vector<Pair> sort_scratch_;

@@ -1,254 +1,99 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 
 #include "util/assert.h"
 
 namespace dtnic::sim {
 
-EventQueue::EventQueue() {
-  std::memset(heads_, -1, sizeof(heads_));
-  std::memset(occupancy_, 0, sizeof(occupancy_));
-}
-
-std::uint64_t EventQueue::tick_of(util::SimTime t) {
-  const double scaled = t.sec() * kTicksPerSecond;
-  // Negative and NaN collapse to tick 0 (the bucket sort still orders them by
-  // exact time); +inf and anything past 2^64 ticks clamp to the last slot of
-  // the top level, where they sit until every finite event has fired.
-  if (!(scaled > 0.0)) return 0;
-  if (scaled >= 18446744073709551615.0) return ~std::uint64_t{0};
-  return static_cast<std::uint64_t>(scaled);
-}
-
-bool EventQueue::record_earlier(std::int32_t a, std::int32_t b) const {
-  const Record& ra = records_[static_cast<std::size_t>(a)];
-  const Record& rb = records_[static_cast<std::size_t>(b)];
-  if (ra.time != rb.time) return ra.time < rb.time;
-  return ra.seq < rb.seq;
-}
-
-std::int32_t EventQueue::acquire_record() {
-  if (!free_.empty()) {
-    const std::int32_t idx = free_.back();
-    free_.pop_back();
-    return idx;
-  }
-  records_.emplace_back();
-  return static_cast<std::int32_t>(records_.size() - 1);
-}
-
-void EventQueue::release_record(std::int32_t idx) {
-  Record& r = records_[static_cast<std::size_t>(idx)];
+void EventQueue::release_record(std::uint32_t idx) {
+  Record& r = records_[idx];
   r.fn = nullptr;  // drop captured state now, not when the record is reused
-  r.loc = kFree;
   r.cancelled = false;
   ++r.generation;
   free_.push_back(idx);
 }
 
-void EventQueue::wheel_link(std::int32_t idx) {
-  Record& r = records_[static_cast<std::size_t>(idx)];
-  const std::uint64_t diff = r.tick ^ cur_tick_;
-  DTNIC_ASSERT(diff != 0);
-  // Highest differing byte picks the level: the slot index is exact (unique
-  // tick) only at level 0; higher levels cascade down as the clock reaches
-  // them, re-filing by the then-highest differing byte.
-  const int level = (63 - std::countl_zero(diff)) >> 3;
-  const int slot = static_cast<int>((r.tick >> (8 * level)) & 0xff);
-  r.loc = static_cast<std::int32_t>(level * kSlots + slot);
-  r.prev = -1;
-  r.next = heads_[level][slot];
-  if (r.next >= 0) records_[static_cast<std::size_t>(r.next)].prev = idx;
-  heads_[level][slot] = idx;
-  occupancy_[level][slot >> 6] |= std::uint64_t{1} << (slot & 63);
-}
-
-void EventQueue::wheel_unlink(std::int32_t idx) {
-  Record& r = records_[static_cast<std::size_t>(idx)];
-  DTNIC_ASSERT(r.loc >= 0);
-  const int level = r.loc / kSlots;
-  const int slot = r.loc % kSlots;
-  if (r.prev >= 0) {
-    records_[static_cast<std::size_t>(r.prev)].next = r.next;
-  } else {
-    heads_[level][slot] = r.next;
-  }
-  if (r.next >= 0) records_[static_cast<std::size_t>(r.next)].prev = r.prev;
-  if (heads_[level][slot] < 0) {
-    occupancy_[level][slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-  }
-}
-
-int EventQueue::next_occupied(int level, int from) const {
-  if (from >= kSlots) return -1;
-  int word = from >> 6;
-  std::uint64_t bits = occupancy_[level][word] & (~std::uint64_t{0} << (from & 63));
-  for (;;) {
-    if (bits != 0) return (word << 6) + std::countr_zero(bits);
-    if (++word == kSlots / 64) return -1;
-    bits = occupancy_[level][word];
-  }
-}
-
-void EventQueue::advance() {
-  DTNIC_ASSERT(cursor_ == bucket_.size());
-  bucket_.clear();
-  cursor_ = 0;
-  while (bucket_.empty()) {
-    // Lowest level with a slot beyond the clock's byte holds the soonest
-    // records. Levels below it are empty by the placement invariant (a
-    // record files at the *highest* byte differing from the clock).
-    int level = -1;
-    int slot = -1;
-    for (int l = 0; l < kLevels; ++l) {
-      const int from = static_cast<int>((cur_tick_ >> (8 * l)) & 0xff) + 1;
-      if (const int s = next_occupied(l, from); s >= 0) {
-        level = l;
-        slot = s;
-        break;
-      }
-    }
-    DTNIC_ASSERT(level >= 0);  // caller guarantees a live record in the wheels
-    // Jump the clock: byte[level] := slot, lower bytes := 0, upper unchanged.
-    const int shift = 8 * level;
-    const std::uint64_t upper =
-        level + 1 < kLevels ? cur_tick_ & (~std::uint64_t{0} << (shift + 8)) : 0;
-    cur_tick_ = upper | (static_cast<std::uint64_t>(slot) << shift);
-    // Drain the slot. Records whose tick the clock just reached join the
-    // bucket; the rest cascade into lower levels. Link order within a slot
-    // is arbitrary — the bucket sort below canonicalizes fire order, so
-    // enumeration here cannot leak into observable behavior.
-    std::int32_t idx = heads_[level][slot];
-    heads_[level][slot] = -1;
-    occupancy_[level][slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-    while (idx >= 0) {
-      Record& r = records_[static_cast<std::size_t>(idx)];
-      const std::int32_t next = r.next;
-      if (r.tick <= cur_tick_) {
-        r.loc = kBucket;
-        r.prev = r.next = -1;
-        bucket_.push_back(idx);
-      } else {
-        wheel_link(idx);
-      }
-      idx = next;
-    }
-  }
-  std::sort(bucket_.begin(), bucket_.end(),
-            [this](std::int32_t a, std::int32_t b) { return record_earlier(a, b); });
-}
-
-std::int32_t EventQueue::front_record() {
-  DTNIC_ASSERT(live_ > 0);
-  for (;;) {
-    while (cursor_ < bucket_.size()) {
-      const std::int32_t idx = bucket_[cursor_];
-      if (!records_[static_cast<std::size_t>(idx)].cancelled) return idx;
-      DTNIC_ASSERT(bucket_dead_ > 0);
-      --bucket_dead_;
-      release_record(idx);
-      ++cursor_;
-    }
-    advance();
-  }
-}
-
 EventId EventQueue::push(util::SimTime t, EventFn fn) {
   DTNIC_REQUIRE_MSG(fn != nullptr, "event callback must not be null");
-  const std::int32_t idx = acquire_record();
-  Record& r = records_[static_cast<std::size_t>(idx)];
-  r.time = t;
-  r.seq = next_seq_++;
-  r.tick = tick_of(t);
-  r.cancelled = false;
-  r.fn = std::move(fn);
-  ++live_;
-  if (r.tick > cur_tick_) {
-    wheel_link(idx);
+  std::uint32_t idx;
+  if (!free_.empty()) {
+    idx = free_.back();
+    free_.pop_back();
   } else {
-    // The clock already reached this tick: merge into the current bucket at
-    // the record's (time, seq) rank, never before the consume cursor. A new
-    // record's seq is the largest so far, so it lands after every already
-    // scheduled event of the same time — the heap's FIFO rule.
-    r.loc = kBucket;
-    r.prev = r.next = -1;
-    const auto it =
-        std::lower_bound(bucket_.begin() + static_cast<std::ptrdiff_t>(cursor_), bucket_.end(),
-                         idx, [this](std::int32_t a, std::int32_t b) {
-                           return record_earlier(a, b);
-                         });
-    bucket_.insert(it, idx);
+    idx = static_cast<std::uint32_t>(records_.size());
+    records_.emplace_back();
   }
+  Record& r = records_[idx];
+  r.fn = std::move(fn);
+  heap_.push_back(Entry{t, next_seq_++, idx});
+  std::push_heap(heap_.begin(), heap_.end(), later);
+  ++live_;
   return EventId{(static_cast<std::uint64_t>(r.generation) << 32) |
                  (static_cast<std::uint64_t>(idx) + 1)};
 }
 
 void EventQueue::cancel(EventId id) {
   if (!id.valid()) return;
-  const std::size_t idx = static_cast<std::size_t>(id.value & 0xffffffffull) - 1;
+  const std::uint64_t idx = (id.value & 0xffffffffull) - 1;
   if (idx >= records_.size()) return;
   Record& r = records_[idx];
-  if (r.loc == kFree || r.cancelled) return;
-  if (r.generation != static_cast<std::uint32_t>(id.value >> 32)) return;
+  if (r.generation != static_cast<std::uint32_t>(id.value >> 32) || r.cancelled) return;
+  // Removing from the middle of a heap is O(n); mark instead and reclaim
+  // when the entry surfaces, at the compaction threshold, or on drain.
+  r.cancelled = true;
+  r.fn = nullptr;
+  ++dead_;
   --live_;
-  if (r.loc == kBucket) {
-    // The bucket is a sorted vector; deleting here would be O(n) per cancel.
-    // Mark instead and reclaim when the cursor passes, at the compaction
-    // threshold, or when the queue drains.
-    r.cancelled = true;
-    ++bucket_dead_;
-    if (live_ == 0) {
-      reset_drained();
-    } else {
-      maybe_compact_bucket();
-    }
+  if (live_ == 0) {
+    reset_drained();
   } else {
-    wheel_unlink(static_cast<std::int32_t>(idx));
-    release_record(static_cast<std::int32_t>(idx));
+    maybe_compact();
   }
 }
 
-void EventQueue::maybe_compact_bucket() {
-  if (bucket_dead_ < kCompactionThreshold) return;
-  const std::size_t pending = bucket_.size() - cursor_;
-  if (2 * bucket_dead_ <= pending) return;  // dead do not outnumber live yet
-  std::size_t w = 0;
-  for (std::size_t rpos = cursor_; rpos < bucket_.size(); ++rpos) {
-    const std::int32_t idx = bucket_[rpos];
-    if (records_[static_cast<std::size_t>(idx)].cancelled) {
-      release_record(idx);
-      continue;
-    }
-    bucket_[w++] = idx;
-  }
-  bucket_.resize(w);
-  cursor_ = 0;
-  bucket_dead_ = 0;
+void EventQueue::maybe_compact() {
+  if (dead_ < kCompactionThreshold || dead_ <= live_) return;
+  std::erase_if(heap_, [this](const Entry& e) {
+    if (!records_[e.record].cancelled) return false;
+    release_record(e.record);
+    return true;
+  });
+  std::make_heap(heap_.begin(), heap_.end(), later);
+  dead_ = 0;
 }
 
 void EventQueue::reset_drained() {
-  // Everything at or past the cursor is a cancelled straggler.
-  for (std::size_t i = cursor_; i < bucket_.size(); ++i) release_record(bucket_[i]);
-  bucket_.clear();
-  cursor_ = 0;
-  bucket_dead_ = 0;
+  // Every entry left is a cancelled straggler.
+  for (const Entry& e : heap_) release_record(e.record);
+  heap_.clear();
+  dead_ = 0;
+}
+
+void EventQueue::drop_cancelled_top() {
+  DTNIC_ASSERT(live_ > 0);
+  while (records_[heap_.front().record].cancelled) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    release_record(heap_.back().record);
+    heap_.pop_back();
+    --dead_;
+  }
 }
 
 util::SimTime EventQueue::next_time() {
   DTNIC_REQUIRE_MSG(live_ > 0, "next_time() on empty queue");
-  return records_[static_cast<std::size_t>(front_record())].time;
+  drop_cancelled_top();
+  return heap_.front().time;
 }
 
 EventQueue::Popped EventQueue::pop() {
   DTNIC_REQUIRE_MSG(live_ > 0, "pop() on empty queue");
-  const std::int32_t idx = front_record();
-  ++cursor_;
-  Record& r = records_[static_cast<std::size_t>(idx)];
-  Popped out{r.time, std::move(r.fn)};
-  release_record(idx);
+  drop_cancelled_top();
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  const Entry top = heap_.back();
+  heap_.pop_back();
+  Popped out{top.time, std::move(records_[top.record].fn)};
+  release_record(top.record);
   --live_;
   if (live_ == 0) reset_drained();
   return out;

@@ -8,27 +8,19 @@
 
 /// \file event_queue.h
 /// Time-ordered event queue with stable FIFO ordering for simultaneous
-/// events and O(1) cancellation, implemented as a hierarchical timing wheel.
+/// events, implemented as a binary heap over a slab of records.
 ///
-/// Why a wheel: the workload is dominated by short-horizon periodic ticks
-/// (scan/control timers re-armed every period). A binary heap pays O(log n)
-/// comparisons plus a hash-map insert/erase per event for the callback side
-/// table; the wheel turns both into array writes. Events live in a slab of
-/// records (recycled through a free list), are filed into one of 8 levels of
-/// 256 slots by the highest byte in which their tick differs from the current
-/// tick, and cascade one level down each time the clock reaches their slot.
-/// Level 0 slots are exact ticks, so draining a level-0 slot yields the
-/// events of one tick; they are sorted by (time, seq) into the "current
-/// bucket" and consumed in order, which reproduces the heap's fire order
-/// exactly: time first, then insertion sequence for ties.
+/// Callbacks live in a slab of records recycled through a free list; the
+/// heap holds only small (time, seq, record) entries ordered by time, then
+/// insertion sequence, so equal-time events fire in the order they were
+/// pushed. Once the slab, free list and heap have grown to the working set,
+/// the queue's own bookkeeping stops allocating.
 ///
-/// Cancellation: records still filed in a wheel slot unlink in O(1) and are
-/// reclaimed immediately. Records already in the current bucket are only
-/// marked (the bucket is a sorted vector), then reclaimed when the cursor
-/// passes them — or wholesale once the dead count exceeds
-/// kCompactionThreshold and outnumbers the live remainder, mirroring the old
-/// heap's compaction guarantee. When the queue drains, every straggler is
-/// released, so bookkeeping never outlives the events it tracked.
+/// Cancellation is lazy: a cancelled record stays in the heap, marked, and
+/// is reclaimed when it surfaces at the top — or wholesale once at least
+/// kCompactionThreshold cancelled entries outnumber the live ones, so
+/// bookkeeping stays bounded by the live count rather than the cancellation
+/// history. When the queue drains, every straggler is released.
 
 namespace dtnic::sim {
 
@@ -45,18 +37,11 @@ struct EventId {
 
 class EventQueue {
  public:
-  EventQueue();
-
-  /// Cancel-heavy bucket compaction trigger: once at least this many
-  /// cancelled records are stranded in the current bucket *and* they
-  /// outnumber the live remainder, the bucket is rebuilt with only live
-  /// entries. Named so tests can pin the policy instead of re-deriving it.
+  /// Heap compaction trigger: once at least this many cancelled entries
+  /// are stranded in the heap *and* they outnumber the live ones, the heap
+  /// is rebuilt with only live entries. Named so tests can pin the policy
+  /// instead of re-deriving it.
   static constexpr std::size_t kCompactionThreshold = 64;
-
-  /// Wheel resolution: events within the same 1/8 s tick are ordered by
-  /// their exact (time, seq) when the tick's bucket is formed, so the
-  /// resolution affects bucketing granularity only, never fire order.
-  static constexpr double kTicksPerSecond = 8.0;
 
   /// Enqueue \p fn at time \p t. Events at the same time fire in insertion
   /// order, which keeps runs deterministic.
@@ -79,61 +64,46 @@ class EventQueue {
   };
   [[nodiscard]] Popped pop();
 
-  /// Bookkeeping introspection (tests / diagnostics): slab records still in
-  /// use including cancelled ones not yet reclaimed, and the count of those
-  /// pending cancel markers. Both drain to zero when the queue empties.
-  [[nodiscard]] std::size_t heap_entries() const { return live_ + bucket_dead_; }
-  [[nodiscard]] std::size_t cancelled_entries() const { return bucket_dead_; }
+  /// Bookkeeping introspection (tests / diagnostics): heap entries including
+  /// cancelled ones not yet reclaimed, and the count of those cancelled
+  /// entries. Both drain to zero when the queue empties.
+  [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
+  [[nodiscard]] std::size_t cancelled_entries() const { return dead_; }
 
  private:
-  static constexpr int kLevels = 8;    ///< 8 levels x 8 bits cover any tick
-  static constexpr int kSlots = 256;   ///< slots per level (one byte)
-  static constexpr std::int32_t kFree = -1;
-  static constexpr std::int32_t kBucket = -2;
-
   struct Record {
-    util::SimTime time{0.0};
-    std::uint64_t seq = 0;   ///< FIFO tiebreak for equal times
-    std::uint64_t tick = 0;  ///< floor(time * kTicksPerSecond), clamped
-    std::int32_t prev = -1;  ///< doubly-linked list within a wheel slot
-    std::int32_t next = -1;
-    /// kFree, kBucket, or level * kSlots + slot when filed in a wheel.
-    std::int32_t loc = kFree;
-    std::uint32_t generation = 0;  ///< bumped on release; stale-id guard
-    bool cancelled = false;
     EventFn fn;
+    /// Bumped on release, so a free record never matches an issued id.
+    std::uint32_t generation = 0;
+    bool cancelled = false;  ///< still in the heap, awaiting reclaim
   };
 
-  [[nodiscard]] static std::uint64_t tick_of(util::SimTime t);
-  [[nodiscard]] std::int32_t acquire_record();
-  void release_record(std::int32_t idx);
-  /// File a record (tick > cur_tick_) into its wheel slot.
-  void wheel_link(std::int32_t idx);
-  void wheel_unlink(std::int32_t idx);
-  /// First occupied slot >= \p from at \p level, or -1.
-  [[nodiscard]] int next_occupied(int level, int from) const;
-  /// Advance the clock to the next occupied tick and form its sorted bucket.
-  /// Requires at least one live record filed in the wheels.
-  void advance();
-  /// Index of the earliest live record, reclaiming dead ones on the way.
-  /// Requires live_ > 0.
-  [[nodiscard]] std::int32_t front_record();
-  void maybe_compact_bucket();
-  /// live_ hit zero: release every straggler and reset the bucket.
-  void reset_drained();
-  [[nodiscard]] bool record_earlier(std::int32_t a, std::int32_t b) const;
+  struct Entry {
+    util::SimTime time;
+    std::uint64_t seq;  ///< FIFO tiebreak for equal times
+    std::uint32_t record;
+  };
 
-  std::vector<Record> records_;      ///< slab; index is the EventId low word
-  std::vector<std::int32_t> free_;   ///< recycled slab indices
-  std::int32_t heads_[kLevels][kSlots];
-  std::uint64_t occupancy_[kLevels][kSlots / 64];  ///< per-level slot bitmap
-  /// Records of the tick being consumed, sorted by (time, seq); entries
-  /// before cursor_ already fired (and were released).
-  std::vector<std::int32_t> bucket_;
-  std::size_t cursor_ = 0;
-  std::size_t bucket_dead_ = 0;  ///< cancelled-but-unreclaimed bucket records
+  /// Heap order for std::push_heap / std::pop_heap: "a fires after b", so
+  /// the earliest (time, seq) sits at the front.
+  [[nodiscard]] static bool later(const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+
+  void release_record(std::uint32_t idx);
+  /// Pop cancelled entries off the top until a live one is there.
+  /// Requires live_ > 0.
+  void drop_cancelled_top();
+  void maybe_compact();
+  /// live_ hit zero: release every cancelled straggler and empty the heap.
+  void reset_drained();
+
+  std::vector<Record> records_;       ///< slab; index is the EventId low word
+  std::vector<std::uint32_t> free_;   ///< recycled slab indices
+  std::vector<Entry> heap_;
+  std::size_t dead_ = 0;  ///< cancelled entries still in heap_
   std::size_t live_ = 0;
-  std::uint64_t cur_tick_ = 0;
   std::uint64_t next_seq_ = 1;
 };
 

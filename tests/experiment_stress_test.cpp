@@ -96,7 +96,7 @@ TEST(ExperimentStress, RepeatedSweepsAreStable) {
 
 /// Builds a churned grid from \p seed and returns the sorted pair list.
 /// Every caller with the same seed must observe bit-identical output no
-/// matter which scan kernel is active or what other threads are doing.
+/// matter what other threads are doing.
 std::vector<net::SpatialGrid::Pair> churned_pairs(std::uint64_t seed) {
   util::Rng rng(seed);
   net::SpatialGrid grid(100.0);
@@ -115,41 +115,33 @@ std::vector<net::SpatialGrid::Pair> churned_pairs(std::uint64_t seed) {
   return pairs;
 }
 
-/// Concurrent scans on distinct grids: the kernels share only immutable
-/// state (decode table, empty-cell pad, the process-wide variant atomic), so
-/// threads hammering different grids must neither race under TSan nor
-/// perturb each other's output.
-TEST(ExperimentStress, ConcurrentScanVariantsOnDistinctGridsAgree) {
+/// Concurrent scans on distinct grids: the kernel shares no mutable state
+/// between grids, so threads hammering different grids must neither race
+/// under TSan nor perturb each other's output.
+TEST(ExperimentStress, ConcurrentScansOnDistinctGridsAgree) {
   using net::SpatialGrid;
-  const SpatialGrid::ScanVariant saved = SpatialGrid::scan_variant();
-  ASSERT_TRUE(SpatialGrid::set_scan_variant(SpatialGrid::ScanVariant::kScalar));
   std::vector<std::vector<SpatialGrid::Pair>> reference;
   for (std::uint64_t seed = 0; seed < 4; ++seed) reference.push_back(churned_pairs(seed));
 
-  for (const SpatialGrid::ScanVariant v : SpatialGrid::supported_scan_variants()) {
-    ASSERT_TRUE(SpatialGrid::set_scan_variant(v));
-    std::vector<std::thread> threads;
-    std::vector<std::vector<SpatialGrid::Pair>> got(4);
-    for (std::uint64_t seed = 0; seed < 4; ++seed) {
-      threads.emplace_back([&got, seed] { got[seed] = churned_pairs(seed); });
-    }
-    for (std::thread& th : threads) th.join();
-    for (std::uint64_t seed = 0; seed < 4; ++seed) {
-      ASSERT_EQ(got[seed].size(), reference[seed].size())
-          << SpatialGrid::scan_variant_name(v) << " seed " << seed;
-      EXPECT_EQ(std::memcmp(got[seed].data(), reference[seed].data(),
-                            got[seed].size() * sizeof(SpatialGrid::Pair)),
-                0)
-          << SpatialGrid::scan_variant_name(v) << " seed " << seed;
-    }
+  std::vector<std::thread> threads;
+  std::vector<std::vector<SpatialGrid::Pair>> got(4);
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    threads.emplace_back([&got, seed] { got[seed] = churned_pairs(seed); });
   }
-  ASSERT_TRUE(SpatialGrid::set_scan_variant(saved));
+  for (std::thread& th : threads) th.join();
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    ASSERT_EQ(got[seed].size(), reference[seed].size()) << "seed " << seed;
+    EXPECT_EQ(std::memcmp(got[seed].data(), reference[seed].data(),
+                          got[seed].size() * sizeof(SpatialGrid::Pair)),
+              0)
+        << "seed " << seed;
+  }
 }
 
-/// Concurrent timing wheels: each thread owns its queue, but the records
-/// live in arena chunks handed out under the shared registry mutex and
-/// recycled through thread-local free lists — exactly the sharing TSan
-/// needs to watch. Each thread verifies its own fire order.
+/// Concurrent event queues: each thread owns its queue, and every queue
+/// allocates its slab, free list and heap from the shared global allocator
+/// while the others run — the sharing TSan needs to watch. Each thread
+/// verifies its own fire order.
 TEST(ExperimentStress, ConcurrentWheelQueuesFireInOrder) {
   std::vector<std::thread> threads;
   std::vector<int> failures(4, 0);

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "net/scripted_contacts.h"
 #include "scenario/experiment.h"
@@ -98,18 +99,24 @@ TEST_F(ScriptedFixture, ValidatesEvents) {
 // --- trace text format -------------------------------------------------------
 
 TEST(ScriptedTraceFormat, ParseAndSerializeRoundTrip) {
-  const std::vector<ContactEvent> original{ev(1.5, 20, 0, 3, 42.0), ev(30, 40.25, 2, 1)};
+  const std::vector<ContactEvent> original{
+      ev(1.5, 20, 0, 3, 42.0), ev(30, 40.25, 2, 1),
+      // Values a 6-significant-digit stream format would round.
+      ev(43200.25, 43210.75, 4, 7, 42.123456789)};
   std::ostringstream os;
   ScriptedConnectivity::serialize(os, original);
   std::istringstream is(os.str());
   const auto parsed = ScriptedConnectivity::parse(is);
-  ASSERT_EQ(parsed.size(), 2u);
+  ASSERT_EQ(parsed.size(), 3u);
   EXPECT_DOUBLE_EQ(parsed[0].up.sec(), 1.5);
   EXPECT_DOUBLE_EQ(parsed[0].down.sec(), 20.0);
   EXPECT_EQ(parsed[0].a, NodeId(0));
   EXPECT_EQ(parsed[0].b, NodeId(3));
   EXPECT_DOUBLE_EQ(parsed[0].distance_m, 42.0);
   EXPECT_DOUBLE_EQ(parsed[1].down.sec(), 40.25);
+  EXPECT_EQ(parsed[2].up.sec(), 43200.25);
+  EXPECT_EQ(parsed[2].down.sec(), 43210.75);
+  EXPECT_EQ(parsed[2].distance_m, 42.123456789);
 }
 
 TEST(ScriptedTraceFormat, ParseErrorsCarryLineNumbers) {
@@ -117,6 +124,21 @@ TEST(ScriptedTraceFormat, ParseErrorsCarryLineNumbers) {
   EXPECT_THROW((void)ScriptedConnectivity::parse(bad1), std::invalid_argument);
   std::istringstream bad2("abc\n");
   EXPECT_THROW((void)ScriptedConnectivity::parse(bad2), std::invalid_argument);
+  // Each rejected line sits after a valid one, so the message must name it.
+  const auto expect_line_error = [](const std::string& bad_line) {
+    std::istringstream in("0 10 0 1\n" + bad_line + "\n");
+    try {
+      (void)ScriptedConnectivity::parse(in);
+      ADD_FAILURE() << "accepted '" << bad_line << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("trace line 2: ", 0), 0u) << e.what();
+    }
+  };
+  expect_line_error("0 10 4294967296 1");  // would wrap to node 0
+  expect_line_error("0 10 2 4294967295");  // NodeId::kInvalid itself
+  expect_line_error("0 10 2 3 abc");       // unparseable distance
+  expect_line_error("0 10 2 3 -1");        // negative distance
+  expect_line_error("0 10 2 3 5 extra");   // trailing token
   std::istringstream comments("# header only\n\n");
   EXPECT_TRUE(ScriptedConnectivity::parse(comments).empty());
   EXPECT_THROW((void)ScriptedConnectivity::load_file("/no/such/trace.txt"),

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/incentive_router.h"
 #include "scenario/experiment.h"
 #include "scenario/scenario.h"
@@ -16,6 +18,14 @@ struct SweepCase {
   double malicious;
   Scheme scheme;
 };
+
+/// gtest prints a parameter it cannot format as its raw bytes, padding
+/// included, and ctest copies that text into the test name; printing the
+/// fields keeps the names identical from build to build.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << "{seed " << c.seed << ", selfish " << c.selfish << ", malicious " << c.malicious
+      << ", " << scheme_name(c.scheme) << "}";
+}
 
 std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
   const auto& c = info.param;

@@ -11,9 +11,8 @@
 #include "util/rng.h"
 #include "util/sim_time.h"
 
-/// Property tests for the timing-wheel EventQueue: fire order must be
-/// indistinguishable from the reference semantics the old binary heap
-/// implemented — strictly by (time, insertion sequence) — under arbitrary
+/// Property tests for the EventQueue: fire order must follow the reference
+/// semantics — strictly by (time, insertion sequence) — under arbitrary
 /// interleavings of push, cancel and pop, including pushes into the past,
 /// equal-time bursts, far-future and infinite times, and periodic re-arming
 /// through Simulator::schedule_every_from.
@@ -81,8 +80,8 @@ TEST(EventQueueProperty, MatchesReferenceOrderUnderRandomInterleavings) {
       } else if (shape < 20) {
         time = last_popped;  // exactly "now"
       } else if (shape < 28) {
-        // Into the past relative to the last pop — the heap accepted these
-        // and fired them next; the wheel must too.
+        // Into the past relative to the last pop — the queue accepts these
+        // and fires them next.
         time = std::max(0.0, last_popped - rng.uniform(0.0, 10.0));
       } else if (shape < 31) {
         time = last_popped + rng.uniform(1e5, 1e7);  // far future: high levels
@@ -116,18 +115,16 @@ TEST(EventQueueProperty, MatchesReferenceOrderUnderRandomInterleavings) {
 }
 
 TEST(EventQueueProperty, CancelHeavyBucketDrainCompacts) {
-  // Regression for the named compaction policy: strand a large sorted bucket
-  // (every event in one tick), cancel almost all of it, and require the
-  // bucket bookkeeping to stay bounded by the threshold instead of the
-  // cancellation history.
+  // Regression for the named compaction policy: queue a large batch of
+  // equal-time events, cancel almost all of it, and require the bookkeeping
+  // to stay bounded by the threshold instead of the cancellation history.
   EventQueue q;
   std::vector<EventId> ids;
   int fired = 0;
   for (int i = 0; i < 2048; ++i) {
     ids.push_back(q.push(SimTime::seconds(1.0), [&fired] { ++fired; }));
   }
-  // Pop (and fire) one event so the tick's bucket is formed and the rest
-  // are bucketed.
+  // Pop (and fire) one event first, so cancels hit a queue already in use.
   q.pop().fn();
   std::size_t cancelled = 0;
   for (std::size_t i = 1; i < ids.size(); ++i) {
